@@ -133,9 +133,8 @@ module Make (V : Value.S) = struct
   (* Off-boundary (and post-protocol) steps only buffer the inbox, so with
      nothing delivered they are no-ops — the FALLBACK wake contract. *)
   let wake ~slot st =
-    slot >= st.start_slot
-    && (slot - st.start_slot) mod st.round_len = 0
-    && (slot - st.start_slot) / st.round_len < rounds st.cfg
+    let rel = slot - st.start_slot in
+    rel >= 0 && rel < rounds st.cfg * st.round_len && rel mod st.round_len = 0
 
   let step ~slot ~inbox st =
     List.iter

@@ -352,9 +352,9 @@ let wake ~slot st =
   if rel < 0 then false
   else if rel = 0 then Pid.equal st.pid st.sender
   else if rel < wba_start cfg then
-    (rel - 1) mod 3 = 0
+    (match st.vi with None -> true | Some _ -> false)
+    && (rel - 1) mod 3 = 0
     && Pid.equal st.pid (leader (((rel - 1) / 3) + 1) cfg)
-    && st.vi = None
   else if rel = wba_start cfg then true
   else match st.wba with Some w -> W.wake ~slot w | None -> false
 

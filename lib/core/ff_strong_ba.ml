@@ -244,7 +244,7 @@ module Make (F : Fallback_intf.FALLBACK with type value = bool) = struct
   let wake ~slot st =
     let rel = slot - st.start_slot in
     rel = 0 || rel = 4
-    || st.fb_sched = Some slot
+    || (match st.fb_sched with Some at -> at = slot | None -> false)
     || (match st.fb_state with Some fb -> F.wake ~slot fb | None -> false)
 
   let step ~slot ~inbox st =

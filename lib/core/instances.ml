@@ -136,7 +136,7 @@ module Fallback_protocol = struct
 
   let name = "fallback"
   let words = Epk_str.words
-  let encode_msg = Format.asprintf "%a" Epk_str.pp_msg
+  let encode_msg m = Format.asprintf "%a" Epk_str.pp_msg m
 
   let default_params cfg =
     {
@@ -160,7 +160,7 @@ module Fallback_protocol = struct
         Epk_str.init ~cfg ~pki ~secret ~pid ~input:params.inputs.(pid)
           ~start_slot:(params.start_slot pid) ~round_len:params.round_len;
       step = (fun ~slot ~inbox st -> Epk_str.step ~slot ~inbox st);
-      wake = Some (fun ~slot st -> Epk_str.wake ~slot st);
+      wake = Some Epk_str.wake;
     }
 
   let decision = Epk_str.decision
@@ -197,7 +197,7 @@ module Weak_ba_protocol = struct
 
   let name = "weak-ba"
   let words = Weak_str.words
-  let encode_msg = Format.asprintf "%a" Weak_str.pp_msg
+  let encode_msg m = Format.asprintf "%a" Weak_str.pp_msg m
 
   let default_params cfg =
     {
@@ -222,13 +222,18 @@ module Weak_ba_protocol = struct
           ~pid ~input:params.inputs.(pid) ~validate:params.validate
           ~start_slot:0 ();
       step = (fun ~slot ~inbox st -> Weak_str.step ~slot ~inbox st);
-      wake = Some (fun ~slot st -> Weak_str.wake ~slot st);
+      wake = Some Weak_str.wake;
     }
 
   let decision = Weak_str.decision
 
-  let decided_str st =
-    Option.map (Format.asprintf "%a" Weak_str.pp_outcome) (Weak_str.decision st)
+  (* Built directly rather than through [Weak_str.pp_outcome]: the engine
+     projects every stepped process every slot. [Value.Str.pp] is ["%S"]. *)
+  let outcome_str = function
+    | Weak_str.Value v -> "\"" ^ String.escaped v ^ "\""
+    | Weak_str.Bot -> "⊥"
+
+  let decided_str st = Option.map outcome_str (Weak_str.decision st)
 
   let decided_at = Weak_str.decided_at
 
@@ -365,7 +370,7 @@ module Bb_protocol = struct
 
   let name = "bb"
   let words = Adaptive_bb.words
-  let encode_msg = Format.asprintf "%a" Adaptive_bb.pp_msg
+  let encode_msg m = Format.asprintf "%a" Adaptive_bb.pp_msg m
   let default_params _cfg = { sender = 0; input = "v" }
 
   let mutate_params p ~salt =
@@ -381,15 +386,16 @@ module Bb_protocol = struct
           ~input:(if pid = params.sender then Some params.input else None)
           ~start_slot:0;
       step = (fun ~slot ~inbox st -> Adaptive_bb.step ~slot ~inbox st);
-      wake = Some (fun ~slot st -> Adaptive_bb.wake ~slot st);
+      wake = Some Adaptive_bb.wake;
     }
 
   let decision = Adaptive_bb.decision
 
-  let decided_str st =
-    Option.map
-      (Format.asprintf "%a" Adaptive_bb.pp_decision)
-      (Adaptive_bb.decision st)
+  let decision_str = function
+    | Adaptive_bb.Decided v -> "decide(" ^ v ^ ")"
+    | Adaptive_bb.No_decision -> "decide(⊥)"
+
+  let decided_str st = Option.map decision_str (Adaptive_bb.decision st)
 
   let decided_at = Adaptive_bb.decided_at
 
@@ -423,7 +429,7 @@ module Binary_bb_protocol = struct
 
   let name = "binary-bb"
   let words = Binary_bb_bool.words
-  let encode_msg = Format.asprintf "%a" Binary_bb_bool.pp_msg
+  let encode_msg m = Format.asprintf "%a" Binary_bb_bool.pp_msg m
   let default_params _cfg = { sender = 0; input = true }
   let mutate_params p ~salt = { p with input = salt mod 2 = 0 }
   let validate_params ~cfg:_ ~params:_ = ()
@@ -436,7 +442,7 @@ module Binary_bb_protocol = struct
           ~input:(if pid = params.sender then Some params.input else None)
           ~start_slot:0;
       step = (fun ~slot ~inbox st -> Binary_bb_bool.step ~slot ~inbox st);
-      wake = Some (fun ~slot st -> Binary_bb_bool.wake ~slot st);
+      wake = Some Binary_bb_bool.wake;
     }
 
   let decision = Binary_bb_bool.decision
@@ -476,7 +482,7 @@ module Strong_ba_protocol = struct
 
   let name = "strong-ba"
   let words = Strong_bool.words
-  let encode_msg = Format.asprintf "%a" Strong_bool.pp_msg
+  let encode_msg m = Format.asprintf "%a" Strong_bool.pp_msg m
   let default_params cfg = { leader = 0; inputs = Array.make cfg.Config.n true }
 
   let mutate_params p ~salt =
@@ -494,7 +500,7 @@ module Strong_ba_protocol = struct
         Strong_bool.init ~cfg ~pki ~secret ~pid ~leader:params.leader
           ~input:params.inputs.(pid) ~start_slot:0;
       step = (fun ~slot ~inbox st -> Strong_bool.step ~slot ~inbox st);
-      wake = Some (fun ~slot st -> Strong_bool.wake ~slot st);
+      wake = Some Strong_bool.wake;
     }
 
   let decision = Strong_bool.decision

@@ -132,6 +132,10 @@ module Weak_ba_protocol : sig
        and type state = Weak_str.state
        and type msg = Weak_str.msg
        and type decision = Weak_str.outcome
+
+  val outcome_str : decision -> string
+  (** [decided_str]'s rendering of a decision, built without a formatter;
+      byte-identical to [Weak_str.pp_outcome]. *)
 end
 (** Adaptive weak BA to its static horizon. Its [spray] forger harvests
     commit/finalize shares addressed to corrupted leaders, equivocates
@@ -149,6 +153,10 @@ module Bb_protocol : sig
        and type state = Adaptive_bb.state
        and type msg = Adaptive_bb.msg
        and type decision = Adaptive_bb.decision
+
+  val decision_str : decision -> string
+  (** [decided_str]'s rendering of a decision, built without a formatter;
+      byte-identical to [Adaptive_bb.pp_decision]. *)
 end
 (** Adaptive BB; [nonsilent_phases] counts non-silent {e vetting} phases
     led by correct processes. *)

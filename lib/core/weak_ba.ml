@@ -451,21 +451,22 @@ struct
      (offset 2), the scheduled fallback start, and the live fallback's own
      round boundaries. [fb_rebroadcast] and the help-answer queue are
      set-and-consumed within a single step (their ingestion guards pin them
-     to the very slot that flushes them), so they never need a timer. *)
+     to the very slot that flushes them), so they never need a timer.
+     The engine polls this for every idle process every slot, so it
+     matches instead of comparing and tests "undecided" first. *)
   let wake ~slot st =
-    let cfg = st.cfg in
     let rel = slot - st.start_slot in
     if rel < 0 then false
     else begin
-      let hb = help_base cfg in
+      let undecided = match st.decision with None -> true | Some _ -> false in
+      let hb = help_base st.cfg in
       if rel < hb then
-        rel mod 5 = 0
-        && Pid.equal st.pid (leader ((rel / 5) + 1) cfg)
-        && st.decision = None
+        undecided && rel mod 5 = 0
+        && Pid.equal st.pid (leader ((rel / 5) + 1) st.cfg)
       else
-        (rel = hb && st.decision = None)
+        (undecided && rel = hb)
         || rel = hb + 2
-        || st.fb_sched = Some slot
+        || (match st.fb_sched with Some at -> at = slot | None -> false)
         || (match st.fb_state with Some fb -> F.wake ~slot fb | None -> false)
     end
 

@@ -539,7 +539,6 @@ module Make (V : Value.S) = struct
      empty-inbox step there is a no-op; past the last round, even boundary
      steps are no-ops. *)
   let wake ~slot st =
-    slot >= st.start_slot
-    && (slot - st.start_slot) mod st.round_len = 0
-    && (slot - st.start_slot) / st.round_len < rounds st.cfg
+    let rel = slot - st.start_slot in
+    rel >= 0 && rel < rounds st.cfg * st.round_len && rel mod st.round_len = 0
 end

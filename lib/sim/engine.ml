@@ -600,6 +600,24 @@ let run_event ~workers ~cfg ~options ~words ~horizon ~protocol ~adversary () =
   let post ~slot ~src ~seq (msg, dst) =
     post_pre ~slot ~src (msg, dst, words msg, fate_for ~slot ~src ~dst ~seq)
   in
+  (* The activity predicate, shared by the sequential and sharded paths: one
+     [wake] poll per correct, up, inbox-less process per slot, so a slot
+     costs n tests however few processes act. It must stay free of
+     allocation and of C calls — [wake] is read once per process here, the
+     inbox is matched rather than compared, and the fault plan is consulted
+     only when there is one. *)
+  let wakes = Array.map (fun m -> m.Process.wake) machines in
+  let active ~slot p =
+    (not corrupted.(p))
+    && (match faults_rt with None -> true | Some rt -> not (Faults.is_down rt p))
+    &&
+    match inboxes.(p) with
+    | _ :: _ -> true
+    | [] -> ( match wakes.(p) with None -> true | Some wake -> wake ~slot states.(p))
+  in
+  (* The corrupted pids in ascending order — the byzantine step order —
+     rebuilt on the rare corruption instead of scanning n pids per slot. *)
+  let byzantine = ref [||] in
   let step_results = Array.make n Skipped in
   let stepped = Vec.create () in
   for slot = 0 to horizon - 1 do
@@ -663,6 +681,8 @@ let run_event ~workers ~cfg ~options ~words ~horizon ~protocol ~adversary () =
                  "Engine.run: adversary %s exceeded the corruption budget t=%d"
                  adversary.Adversary.name cfg.Config.t);
           corrupted.(p) <- true;
+          byzantine :=
+            Array.of_list (List.sort Int.compare (p :: Array.to_list !byzantine));
           corruption_order := p :: !corruption_order;
           incr corruption_count;
           mincr meters (fun m -> m.corruptions_c);
@@ -676,15 +696,6 @@ let run_event ~workers ~cfg ~options ~words ~horizon ~protocol ~adversary () =
     let correct_sends = ref [] in
     Vec.clear stepped;
     timed Profile.Machine "machine.step" (fun () ->
-        let active p =
-          (not corrupted.(p))
-          && (not (is_down p))
-          && (inboxes.(p) <> []
-             ||
-             match machines.(p).Process.wake with
-             | None -> true
-             | Some wake -> wake ~slot states.(p))
-        in
         let step_one p =
           match machines.(p).Process.step ~slot ~inbox:inboxes.(p) states.(p) with
           | state', sends ->
@@ -700,7 +711,7 @@ let run_event ~workers ~cfg ~options ~words ~horizon ~protocol ~adversary () =
         match workers with
         | None ->
           for p = 0 to n - 1 do
-            if active p then begin
+            if active ~slot p then begin
               match step_one p with
               | Stepped (state', pres) ->
                 states.(p) <- state';
@@ -713,7 +724,7 @@ let run_event ~workers ~cfg ~options ~words ~horizon ~protocol ~adversary () =
         | Some ws ->
           (* The activity predicate runs inside the workers: [wake] only
              reads the process's own state, so it shards like [step]. *)
-          compute_steps ws ~n ~active ~step_one step_results;
+          compute_steps ws ~n ~active:(active ~slot) ~step_one step_results;
           for p = 0 to n - 1 do
             match step_results.(p) with
             | Skipped -> ()
@@ -764,11 +775,11 @@ let run_event ~workers ~cfg ~options ~words ~horizon ~protocol ~adversary () =
     let byz_view = view correct_outgoing in
     let byz_sends = ref [] in
     timed Profile.Adversary "adversary.byz_step" (fun () ->
-        for p = 0 to n - 1 do
-          if corrupted.(p) then
+        Array.iter
+          (fun p ->
             byz_sends :=
-              (p, adversary.Adversary.byz_step ~pid:p byz_view) :: !byz_sends
-        done);
+              (p, adversary.Adversary.byz_step ~pid:p byz_view) :: !byz_sends)
+          !byzantine);
     (* 4. Post everything. *)
     timed Profile.Engine "engine.post" (fun () ->
         List.iter

@@ -38,24 +38,24 @@ let cell_of tbl key =
     Hashtbl.add tbl key c;
     c
 
+let add_to c ~byzantine ~words =
+  if byzantine then begin
+    c.byz_words <- c.byz_words + words;
+    c.byz_messages <- c.byz_messages + 1
+  end
+  else begin
+    c.words <- c.words + words;
+    c.messages <- c.messages + 1
+  end
+
 let charge m ~byzantine ~src ~dst ~words =
   if words < 1 then invalid_arg "Meter.charge: each message is at least 1 word";
   if src = dst then false (* self-addressed: crosses no link, free *)
   else begin
-    let slot_cell = cell_of m.per_slot m.current_slot in
-    let proc_cell = cell_of m.per_process src in
     if m.current_slot > m.max_slot then m.max_slot <- m.current_slot;
-    List.iter
-      (fun c ->
-        if byzantine then begin
-          c.byz_words <- c.byz_words + words;
-          c.byz_messages <- c.byz_messages + 1
-        end
-        else begin
-          c.words <- c.words + words;
-          c.messages <- c.messages + 1
-        end)
-      [ m.totals; slot_cell; proc_cell ];
+    add_to m.totals ~byzantine ~words;
+    add_to (cell_of m.per_slot m.current_slot) ~byzantine ~words;
+    add_to (cell_of m.per_process src) ~byzantine ~words;
     true
   end
 

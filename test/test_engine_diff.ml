@@ -177,6 +177,55 @@ let chaos_cases () =
       end)
     Campaign.zoo
 
+(* ---- domain safety of trace encoding ----------------------------------
+
+   [Pool] workers encode traces concurrently (the chaos matrix, sharded
+   sweeps), so a protocol's [encode_msg] must not share a formatter across
+   domains. Two domains encode the same recorded trace at once, over and
+   over; every rendering must equal the sequential one. *)
+
+let concurrent_trace_encoding () =
+  List.iter
+    (fun (Campaign.Target { name; protocol = (module P); params; ablated = _ }) ->
+      let cfg = cfg9 in
+      let params = params cfg in
+      let pki, secrets = Mewc_crypto.Pki.setup ~seed:1L ~n:cfg.Config.n () in
+      let res =
+        Engine.run ~cfg
+          ~options:{ Engine.default_options with record_trace = true }
+          ~words:P.words ~horizon:(P.horizon ~cfg ~params)
+          ~protocol:(fun pid ->
+            P.machine ~cfg ~pki ~secret:secrets.(pid) ~params ~pid)
+          ~adversary:(Adversary.crash ~victims:[ 1; 2 ] ()) ()
+      in
+      let encode () =
+        Jsonx.to_string (Trace.to_json ~encode:P.encode_msg res.Engine.trace)
+      in
+      let sequential = encode () in
+      let ready = Atomic.make 0 in
+      let worker () =
+        Atomic.incr ready;
+        while Atomic.get ready < 2 do
+          Domain.cpu_relax ()
+        done;
+        List.init 10 (fun _ ->
+            match encode () with s -> Ok s | exception e -> Error e)
+      in
+      let d1 = Domain.spawn worker in
+      let d2 = Domain.spawn worker in
+      List.iteri
+        (fun i r ->
+          match r with
+          | Ok s ->
+            Alcotest.(check bool)
+              (Printf.sprintf "%s concurrent encode %d == sequential" name i)
+              true (String.equal s sequential)
+          | Error e ->
+            Alcotest.failf "%s concurrent encode %d raised %s" name i
+              (Printexc.to_string e))
+        (Domain.join d1 @ Domain.join d2))
+    Campaign.zoo
+
 let () =
   Alcotest.run "engine-diff"
     [
@@ -185,5 +234,10 @@ let () =
           Alcotest.test_case "protocol zoo x sweep grid" `Quick grid_cases;
           Alcotest.test_case "fuzzer adversary scenarios" `Quick fuzz_cases;
           Alcotest.test_case "chaos fault plans" `Quick chaos_cases;
+        ] );
+      ( "domain safety",
+        [
+          Alcotest.test_case "concurrent trace encoding" `Quick
+            concurrent_trace_encoding;
         ] );
     ]

@@ -216,6 +216,39 @@ let fuzzer_safety =
                 ds))
       else true)
 
+(* The engine's decision projections are built without a formatter; they
+   must stay byte-identical to the printers that define them, whatever
+   bytes a value holds — quotes, backslashes, control characters,
+   non-ASCII, and runs longer than the formatter's margin. *)
+let decided_str_matches_printers =
+  Test_util.qcheck_case ~count:500
+    ~name:"decided_str == Format rendering (weak BA, BB)"
+    QCheck2.Gen.(
+      string_size ~gen:
+          (frequency
+             [
+               (4, printable);
+               (1, oneofl [ '"'; '\\'; '\n'; '\t'; '\r'; '\000'; '%'; '@' ]);
+               (2, char_range '\128' '\255');
+             ])
+        (int_range 0 200))
+    (fun v ->
+      let same what got expected =
+        String.equal got expected
+        || QCheck2.Test.fail_reportf "%s of %S: %S <> %S" what v got expected
+      in
+      let weak o =
+        same "weak BA" (Instances.Weak_ba_protocol.outcome_str o)
+          (Format.asprintf "%a" W.pp_outcome o)
+      in
+      let bb d =
+        same "BB" (Instances.Bb_protocol.decision_str d)
+          (Format.asprintf "%a" Adaptive_bb.pp_decision d)
+      in
+      weak (W.Value v) && weak W.Bot
+      && bb (Adaptive_bb.Decided v)
+      && bb Adaptive_bb.No_decision)
+
 let () =
   Alcotest.run "properties"
     [
@@ -229,5 +262,6 @@ let () =
           trace_replay_byte_identical;
           signature_complexity_tracks_words;
           fuzzer_safety;
+          decided_str_matches_printers;
         ] );
     ]

@@ -371,6 +371,88 @@ let composition_registry () =
   Composition.reset ();
   Alcotest.(check int) "reset" 0 (List.length (Composition.edges ()))
 
+(* ---- allocation budget of the event-driven scan ----------------------
+
+   The event-driven engine polls [Process.wake] once per idle correct
+   process per slot — n polls a slot, 34M in a weak-BA run at n=2001 — so
+   a poll must allocate nothing. Measured on init states and on the final
+   states of a failure-free and a crash run (the latter reaches the
+   fallback's timers), over slots spanning the whole horizon. *)
+
+let minor_words_per ~iters f =
+  let before = Gc.minor_words () in
+  for i = 0 to iters - 1 do
+    f i
+  done;
+  (Gc.minor_words () -. before) /. float_of_int iters
+
+let wake_polls_allocation_free () =
+  let module Campaign = Mewc_fuzz.Campaign in
+  List.iter
+    (fun (Campaign.Target { name; protocol = (module P); params; ablated = _ }) ->
+      let cfg = Config.optimal ~n:7 in
+      let n = cfg.Config.n in
+      let params = params cfg in
+      let horizon = P.horizon ~cfg ~params in
+      let machines () =
+        let pki, secrets = Mewc_crypto.Pki.setup ~seed:1L ~n () in
+        Array.init n (fun pid ->
+            P.machine ~cfg ~pki ~secret:secrets.(pid) ~params ~pid)
+      in
+      let check label (ms : (P.state, P.msg) Process.t array) states =
+        let polls = 100_000 in
+        let words =
+          minor_words_per ~iters:polls (fun i ->
+              let p = i mod n in
+              match ms.(p).Process.wake with
+              | None -> ()
+              | Some wake ->
+                let slot = i / n mod (horizon + 2) in
+                ignore (Sys.opaque_identity (wake ~slot states.(p))))
+        in
+        if words >= 0.01 then
+          Alcotest.failf "%s %s: %.3f minor words per wake poll" name label words
+      in
+      let ms = machines () in
+      check "init" ms (Array.map (fun m -> m.Process.init) ms);
+      List.iter
+        (fun (label, victims) ->
+          let ms = machines () in
+          let res =
+            Engine.run ~cfg
+              ~options:{ Engine.default_options with scheduler = `Event_driven }
+              ~words:P.words ~horizon
+              ~protocol:(fun pid -> ms.(pid))
+              ~adversary:(Adversary.crash ~victims ()) ()
+          in
+          check label ms res.Engine.states)
+        [ ("post-run f=0", []); ("post-run f=t", List.init cfg.Config.t succ) ])
+    Campaign.zoo
+
+(* An idle slot costs the engine a constant number of minor words, not a
+   number that grows with n: the per-slot cost is the slope between two
+   horizons, which cancels the O(n) setup. *)
+let idle_slot_words_flat_in_n () =
+  let run_words ~n ~horizon =
+    let cfg = Config.optimal ~n in
+    let before = Gc.minor_words () in
+    ignore
+      (Engine.run ~cfg
+         ~options:{ Engine.default_options with scheduler = `Event_driven }
+         ~words:(fun () -> 1)
+         ~horizon
+         ~protocol:(fun _ -> Process.silent ())
+         ~adversary:(Adversary.honest ~name:"h") ());
+    Gc.minor_words () -. before
+  in
+  let per_slot n =
+    (run_words ~n ~horizon:2000 -. run_words ~n ~horizon:1000) /. 1000.
+  in
+  let small = per_slot 65 and large = per_slot 1025 in
+  if large > small +. 1. then
+    Alcotest.failf "idle slot: %.1f minor words at n=1025 vs %.1f at n=65" large
+      small
+
 let () =
   Alcotest.run "sim"
     [
@@ -396,6 +478,13 @@ let () =
           Alcotest.test_case "zero horizon" `Quick zero_horizon;
           Alcotest.test_case "double corruption" `Quick double_corruption_single_charge;
           Alcotest.test_case "per-slot series" `Quick per_slot_series;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "wake polls allocation-free" `Quick
+            wake_polls_allocation_free;
+          Alcotest.test_case "idle slot words flat in n" `Quick
+            idle_slot_words_flat_in_n;
         ] );
       ( "composition",
         [ Alcotest.test_case "registry" `Quick composition_registry ] );
