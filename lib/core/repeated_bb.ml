@@ -27,9 +27,11 @@ type state = {
   pid : Pid.t;
   length : int;
   offset : int;
+  stride : int;
   propose : int -> string;
   instances : Adaptive_bb.state option array;
-  pending : Adaptive_bb.msg Envelope.t list array;  (* reversed, per index *)
+  pending : Adaptive_bb.msg Envelope.t list array;
+      (* reversed, per index; empty between steps *)
 }
 
 let stride cfg = Adaptive_bb.horizon cfg
@@ -59,6 +61,7 @@ let init ~cfg ~pki ~secret ~pid ~length ?offset ~propose () =
     pid;
     length;
     offset;
+    stride = stride cfg;
     propose;
     instances = Array.make length None;
     pending = Array.make length [];
@@ -77,11 +80,47 @@ let log st =
 let decided_slots st =
   Array.map (fun inst -> Option.bind inst Adaptive_bb.decided_at) st.instances
 
+(* The live window at [slot]. Instance [i] starts at [i * offset] and its
+   inner BB is silent after [stride] slots, so only the instances whose
+   [stride]-slot life (plus one stride of slack for messages in flight at
+   the boundary) covers [slot] can make progress: [window_lo .. window_hi].
+   Stepping just that window keeps a k-slot log linear in k at any pipeline
+   depth. The bounds are two functions rather than one pair so that the
+   wake poll allocates nothing. *)
+let window_lo st ~slot =
+  (* smallest i with i*offset + 2*stride > slot; integer division
+     truncates toward zero, so guard the negative numerator. *)
+  if slot < 2 * st.stride then 0 else ((slot - (2 * st.stride)) / st.offset) + 1
+
+let window_hi st ~slot = min (st.length - 1) (slot / st.offset)
+
+(* The process timer: some live instance has just entered the window (it
+   must be initialised) or answers its own timer. [pending] is drained by
+   every step, so a delivery-free slot leaves nothing parked to account
+   for. Called once per idle replica per slot, so it is a loop over plain
+   reads — no closure, no allocation, no polymorphic compare. *)
+let wake ~slot st =
+  let hi = window_hi st ~slot in
+  let i = ref (window_lo st ~slot) in
+  let due = ref false in
+  while (not !due) && !i <= hi do
+    (due :=
+       match st.instances.(!i) with
+       | None -> true
+       | Some inst -> Adaptive_bb.wake ~slot inst);
+    incr i
+  done;
+  !due
+
 let step ~slot ~inbox st =
+  let lo = window_lo st ~slot and hi = window_hi st ~slot in
+  (* A delivery outside the window is dropped: an instance below [lo] is
+     never stepped again, and one above [hi] would ingest it at its
+     [rel = 0], where no message is acted on. *)
   List.iter
     (fun env ->
       let { index; inner } = env.Envelope.msg in
-      if index >= 0 && index < st.length then
+      if index >= lo && index <= hi then
         st.pending.(index) <-
           {
             Envelope.src = env.Envelope.src;
@@ -91,37 +130,29 @@ let step ~slot ~inbox st =
           }
           :: st.pending.(index))
     inbox;
-  let stride = stride st.cfg in
-  let offset = st.offset in
   let out = ref [] in
-  (* Instance [i] starts at [i * offset] and its inner BB is silent after
-     [stride] slots, so only the window of instances whose [stride]-slot
-     life (plus one stride of slack for messages in flight at the
-     boundary) covers [slot] can make progress. Stepping just that window
-     keeps a k-slot log linear in k at any pipeline depth. *)
-  let hi = min (st.length - 1) (slot / offset) in
-  let lo =
-    (* smallest i with i*offset + 2*stride > slot; integer division
-       truncates toward zero, so guard the negative numerator. *)
-    if slot < 2 * stride then 0 else ((slot - (2 * stride)) / offset) + 1
-  in
-  for i = max 0 lo to hi do
-    let start = i * offset in
-    if st.instances.(i) = None then begin
-      let sender = proposer st.cfg i in
-      st.instances.(i) <-
-        Some
-          (Adaptive_bb.init ~cfg:st.cfg ~pki:st.pki ~secret:st.secret
-             ~pid:st.pid ~sender
-             ~input:(if Pid.equal st.pid sender then Some (st.propose i) else None)
-             ~start_slot:start)
-    end;
-    match st.instances.(i) with
-    | None -> ()
-    | Some inst ->
-      let inbox = List.rev st.pending.(i) in
+  for i = lo to hi do
+    let inst =
+      match st.instances.(i) with
+      | Some inst -> inst
+      | None ->
+        let sender = proposer st.cfg i in
+        let inst =
+          Adaptive_bb.init ~cfg:st.cfg ~pki:st.pki ~secret:st.secret
+            ~pid:st.pid ~sender
+            ~input:(if Pid.equal st.pid sender then Some (st.propose i) else None)
+            ~start_slot:(i * st.offset)
+        in
+        st.instances.(i) <- Some inst;
+        inst
+    in
+    (* An instance with no mail and no due timer is left alone: its step
+       would be a no-op by the [Process.wake] contract. *)
+    match st.pending.(i) with
+    | [] when not (Adaptive_bb.wake ~slot inst) -> ()
+    | pending ->
       st.pending.(i) <- [];
-      let inst', sends = Adaptive_bb.step ~slot ~inbox inst in
+      let inst', sends = Adaptive_bb.step ~slot ~inbox:(List.rev pending) inst in
       st.instances.(i) <- Some inst';
       out :=
         List.map (fun (m, dst) -> ({ index = i; inner = m }, dst)) sends @ !out
@@ -147,8 +178,8 @@ let run ~cfg ?(seed = 1L) ?offset ?options ~length ~propose ~adversary () =
       Process.init =
         init ~cfg ~pki ~secret:secrets.(pid) ~pid ~length ?offset
           ~propose:(propose pid) ();
-      step = (fun ~slot ~inbox st -> step ~slot ~inbox st);
-      wake = None;
+      step;
+      wake = Some wake;
     }
   in
   let adversary = adversary ~pki ~secrets in

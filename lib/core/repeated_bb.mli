@@ -22,6 +22,18 @@
       the unpipelined oracle on the same seed. The invariant is enforced
       by the repeated-BB test suite.
 
+    {b Event-driven.} Inside the live window an instance steps only when
+    it has mail or its own {!Adaptive_bb.wake} fires; any other step
+    would be a no-op, so skipping it changes no send, log entry or
+    decision slot, under either scheduler. Deliveries addressed outside
+    the window are dropped on arrival (an instance below it never steps
+    again; one above it would ingest them at its relative slot 0, where
+    no message is acted on). The replica's own timer {!wake} fires when
+    some window instance is due, so the event-driven engine steps a
+    replica only in slots where one of its instances acts. An idle
+    replica costs one poll per slot, scanning about [2 * stride / offset]
+    instances.
+
     Every correct replica ends with the same log (each entry a committed
     value or ⊥ for slots whose Byzantine proposer was exposed), and the
     steady-state cost inherits the paper's adaptivity: O(n(f+1)) words per
@@ -63,6 +75,15 @@ val step :
   inbox:msg Mewc_sim.Envelope.t list ->
   state ->
   state * (msg * Mewc_prelude.Pid.t) list
+
+val wake : slot:int -> state -> bool
+(** The {!Mewc_sim.Process.t} wake timer: [true] iff some instance in the
+    live window at [slot] has just entered it (it is still uninitialised)
+    or answers its own {!Adaptive_bb.wake}. A replica with no deliveries
+    and no due instance would step as a no-op, so the event-driven
+    scheduler may skip it. The poll allocates nothing and makes no
+    polymorphic compare: it is a loop over the window of about
+    [2 * stride / offset] instances. *)
 
 val log : state -> entry option array
 (** The replica's view of the log; [None] for slots still undecided. *)

@@ -200,6 +200,150 @@ let logs_invariant_under_engine_knobs () =
         [ (`Legacy, 2); (`Event_driven, 1); (`Event_driven, 2) ])
     [ 2; Repeated_bb.stride c ]
 
+(* ---- the instance-level skip against an independent oracle ------------ *)
+
+(* Both schedulers run [Repeated_bb.step], so its instance-level skip is
+   invisible to the scheduler-equivalence tests above. The oracle here
+   shares none of it: each log index [i] as a standalone adaptive BB under
+   the legacy scheduler (which steps every process every slot), with
+   sender [i mod n], the same input, cfg and crash-at-0 victims. Entry [i],
+   every correct replica's decision slot re-based by [i * offset], and the
+   total words must all match. *)
+let skip_matches_standalone_bb () =
+  List.iter
+    (fun (n, crashed) ->
+      let c = cfg n in
+      let stride = Repeated_bb.stride c in
+      let length = n + 2 in
+      List.iter
+        (fun (name, victims) ->
+          let corrupted p = List.mem p victims in
+          let adversary () =
+            Adversary.const
+              (match victims with
+              | [] -> Adversary.honest ~name:"h"
+              | _ -> Adversary.crash ~victims ())
+          in
+          let standalone =
+            Array.init length (fun i ->
+                let sender = i mod n in
+                Instances.run
+                  (module Instances.Bb_protocol)
+                  ~cfg:c
+                  ~options:
+                    { Instances.default_options with seed = 7L; scheduler = `Legacy }
+                  ~params:{ Instances.Bb_protocol.sender; input = propose sender i }
+                  ~adversary:(adversary ()) ())
+          in
+          let oracle_words =
+            Array.fold_left (fun acc o -> acc + o.Instances.words) 0 standalone
+          in
+          List.iter
+            (fun offset ->
+              let o =
+                Repeated_bb.run ~cfg:c ~seed:7L ~offset ~length ~propose
+                  ~options:
+                    { Engine.default_options with scheduler = `Event_driven }
+                  ~adversary:(adversary ()) ()
+              in
+              let at = Printf.sprintf "n=%d %s offset=%d" n name offset in
+              Alcotest.(check int) (at ^ " words") oracle_words o.Repeated_bb.words;
+              Array.iteri
+                (fun i (bb : Adaptive_bb.decision Instances.agreement_outcome) ->
+                  for p = 0 to n - 1 do
+                    if not (corrupted p) then begin
+                      let expected =
+                        match bb.Instances.decisions.(p) with
+                        | Some (Adaptive_bb.Decided v) -> Some (Repeated_bb.Committed v)
+                        | Some Adaptive_bb.No_decision -> Some Repeated_bb.Skipped
+                        | None -> None
+                      in
+                      if
+                        not
+                          (Option.equal Repeated_bb.equal_entry expected
+                             o.Repeated_bb.logs.(p).(i))
+                      then Alcotest.failf "%s: p%d entry %d diverges" at p i;
+                      Alcotest.(check (option int))
+                        (Printf.sprintf "%s: p%d entry %d decision slot" at p i)
+                        bb.Instances.decided_slots.(p)
+                        (Option.map
+                           (fun s -> s - (i * offset))
+                           o.Repeated_bb.decided_slots.(p).(i))
+                    end
+                  done)
+                standalone)
+            [ 1; max 1 (stride / 4); stride ])
+        [ ("honest", []); ("crash", crashed) ])
+    [ (5, [ 2 ]); (9, [ 5; 6 ]) ]
+
+(* ---- stale replay ------------------------------------------------------ *)
+
+(* A corrupted replica that re-sends, unchanged and to the same
+   destinations, the correct messages it saw [lag] slots earlier. *)
+let stale_replay ~victim ~lag : (Repeated_bb.state, Repeated_bb.msg) Adversary.t =
+  let seen = Hashtbl.create 64 in
+  {
+    Adversary.name = "stale-replay";
+    corrupt = (fun v -> if v.Adversary.slot = 0 then [ victim ] else []);
+    byz_step =
+      (fun ~pid:_ v ->
+        let slot = v.Adversary.slot in
+        Hashtbl.replace seen slot
+          (List.map
+             (fun e -> (e.Envelope.msg, e.Envelope.dst))
+             v.Adversary.correct_outgoing);
+        match Hashtbl.find_opt seen (slot - lag) with
+        | None -> []
+        | Some sends ->
+          Hashtbl.remove seen (slot - lag);
+          sends);
+  }
+
+(* Envelopes replayed [2 * stride] slots late address instances that have
+   left every replica's window. They must change nothing — the logs and
+   decision slots equal the crash-only run's — and they must not be kept:
+   the final states are no larger than the crash-only run's. *)
+let stale_replay_dropped () =
+  let n = 5 in
+  let c = cfg n in
+  let stride = Repeated_bb.stride c in
+  let offset = max 1 (stride / 4) in
+  let length = 12 in
+  let victim = 1 in
+  let run adversary =
+    let pki, secrets = Mewc_crypto.Pki.setup ~seed:3L ~n () in
+    let res =
+      Engine.run ~cfg:c
+        ~options:{ Engine.default_options with scheduler = `Event_driven }
+        ~words:Repeated_bb.words
+        ~horizon:(Repeated_bb.horizon ~offset c ~length)
+        ~protocol:(fun pid ->
+          {
+            Process.init =
+              Repeated_bb.init ~cfg:c ~pki ~secret:secrets.(pid) ~pid ~length
+                ~offset ~propose:(propose pid) ();
+            step = Repeated_bb.step;
+            wake = Some Repeated_bb.wake;
+          })
+        ~adversary ()
+    in
+    let correct = List.filter (fun p -> p <> victim) (List.init n Fun.id) in
+    let states = List.map (fun p -> res.Engine.states.(p)) correct in
+    ( List.map Repeated_bb.log states,
+      List.map Repeated_bb.decided_slots states,
+      Obj.reachable_words (Obj.repr states) )
+  in
+  let crash_logs, crash_slots, crash_size =
+    run (Adversary.crash ~victims:[ victim ] ())
+  in
+  let logs, slots, size = run (stale_replay ~victim ~lag:(2 * stride)) in
+  if logs <> crash_logs then Alcotest.fail "stale replay changed a correct log";
+  if slots <> crash_slots then
+    Alcotest.fail "stale replay moved a correct decision slot";
+  if size > crash_size then
+    Alcotest.failf "stale replay left %d words parked in correct replicas"
+      (size - crash_size)
+
 let () =
   Alcotest.run "repeated BB (replicated log)"
     [
@@ -219,5 +363,8 @@ let () =
             byzantine_proposer_skipped_at_its_slots_pipelined;
           Alcotest.test_case "invariant under scheduler x shards" `Quick
             logs_invariant_under_engine_knobs;
+          Alcotest.test_case "skip == standalone BB oracle" `Quick
+            skip_matches_standalone_bb;
+          Alcotest.test_case "stale replay dropped" `Quick stale_replay_dropped;
         ] );
     ]

@@ -429,6 +429,53 @@ let wake_polls_allocation_free () =
         [ ("post-run f=0", []); ("post-run f=t", List.init cfg.Config.t succ) ])
     Campaign.zoo
 
+(* The replicated log's timer fans out to every instance of its live
+   window, about [2 * stride / offset] of them, on every poll, so it must
+   allocate nothing either: a scan written as a local recursive closure
+   would allocate that closure on each poll. Measured on init states and on
+   the final states of a deep-pipelined run, f=0 and f=t. *)
+let repeated_wake_allocation_free () =
+  let open Mewc_core in
+  let cfg = Config.optimal ~n:7 in
+  let n = cfg.Config.n in
+  let length = 8 in
+  let offset = max 1 (Repeated_bb.stride cfg / 4) in
+  let horizon = Repeated_bb.horizon ~offset cfg ~length in
+  let machines () =
+    let pki, secrets = Mewc_crypto.Pki.setup ~seed:1L ~n () in
+    Array.init n (fun pid ->
+        {
+          Process.init =
+            Repeated_bb.init ~cfg ~pki ~secret:secrets.(pid) ~pid ~length ~offset
+              ~propose:(Printf.sprintf "cmd-%d-by-p%d" pid)
+              ();
+          step = Repeated_bb.step;
+          wake = Some Repeated_bb.wake;
+        })
+  in
+  let check label states =
+    let words =
+      minor_words_per ~iters:100_000 (fun i ->
+          let slot = i / n mod (horizon + 2) in
+          ignore (Sys.opaque_identity (Repeated_bb.wake ~slot states.(i mod n))))
+    in
+    if words >= 0.01 then
+      Alcotest.failf "repeated-bb %s: %.3f minor words per wake poll" label words
+  in
+  check "init" (Array.map (fun m -> m.Process.init) (machines ()));
+  List.iter
+    (fun (label, victims) ->
+      let ms = machines () in
+      let res =
+        Engine.run ~cfg
+          ~options:{ Engine.default_options with scheduler = `Event_driven }
+          ~words:Repeated_bb.words ~horizon
+          ~protocol:(fun pid -> ms.(pid))
+          ~adversary:(Adversary.crash ~victims ()) ()
+      in
+      check label res.Engine.states)
+    [ ("post-run f=0", []); ("post-run f=t", List.init cfg.Config.t succ) ]
+
 (* An idle slot costs the engine a constant number of minor words, not a
    number that grows with n: the per-slot cost is the slope between two
    horizons, which cancels the O(n) setup. *)
@@ -485,6 +532,8 @@ let () =
             wake_polls_allocation_free;
           Alcotest.test_case "idle slot words flat in n" `Quick
             idle_slot_words_flat_in_n;
+          Alcotest.test_case "repeated-bb wake poll allocation-free" `Quick
+            repeated_wake_allocation_free;
         ] );
       ( "composition",
         [ Alcotest.test_case "registry" `Quick composition_registry ] );
