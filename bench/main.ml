@@ -9,10 +9,10 @@
      --jobs N       domains for the parallel perf pass (default: all cores)
      --smoke        CI gate: only the small perf grid, parallel vs
                     sequential, exit 1 if outputs differ (no files written)
-     --frontier-smoke  CI gate for the event-driven engine: sweep the
-                    frontier grid's n <= 101 points event-driven, then
-                    replay them under the legacy lock-step oracle and exit
-                    1 unless the rows are byte-identical
+     --frontier-smoke  CI gate for the wake contract: sweep the frontier
+                    grid's n <= 101 points event-driven, then replay them
+                    under the wake-free `Legacy policy and exit 1 unless
+                    the rows are byte-identical
      --ledger FILE  append the perf sweep to the given mewc-ledger/1 file
      --rev REV      git revision to record in the ledger entry (the bench
                     never shells out; default "unknown")
@@ -179,11 +179,13 @@ let run_smoke ~jobs =
     "[SMOKE] ok: parallel and sharded sweeps byte-identical to sequential"
 
 let run_frontier_smoke ~jobs =
-  (* The event-driven engine's CI gate. Rows are a pure function of the
-     point (each builds its own seed, PKI and RNG), so the legacy and
-     event-driven engines must render every row byte-identically — the
-     engine-diff test suite proves it per message, this gate re-proves it
-     end to end on every build over the frontier grid's small points. *)
+  (* The wake contract's end-to-end CI gate. Rows are a pure function of
+     the point (each builds its own seed, PKI and RNG), and a skipped step
+     must be a no-op, so stepping only woken processes and stepping every
+     process (the wake-free [`Legacy] policy) must render every row
+     byte-identically — the engine-diff test suite proves it per message,
+     this gate re-proves it on every build over the frontier grid's small
+     points, the only tier-1 run of the protocols' wake timers there. *)
   let points, _capped = Sweep.frontier_grid `Event_driven in
   let points = List.filter (fun (p : Sweep.point) -> p.Sweep.n <= 101) points in
   let jobs = match jobs with Some j -> Some j | None -> Some 2 in
@@ -208,12 +210,13 @@ let run_frontier_smoke ~jobs =
   if not (List.equal String.equal (lines report.Sweep.rows) (lines oracle))
   then begin
     prerr_endline
-      "[FRONTIER] FATAL: event-driven rows diverged from the legacy oracle";
+      "[FRONTIER] FATAL: event-driven rows diverged from the wake-free \
+       Legacy policy";
     exit 1
   end;
   Printf.printf
-    "[FRONTIER] ok: %d event-driven points byte-identical to the legacy \
-     oracle\n\
+    "[FRONTIER] ok: %d event-driven points byte-identical to the wake-free \
+     Legacy policy\n\
      %!"
     (List.length points)
 

@@ -1252,10 +1252,11 @@ let scheduler_arg =
     value & opt string "legacy"
     & info [ "scheduler" ] ~docv:"SCHEDULER"
         ~doc:
-          "Engine scheduler: $(b,legacy) (the default: every process steps \
-           every slot, the original lock-step loop) or $(b,event-driven) \
+          "Engine step policy: $(b,legacy) (the default: every process \
+           steps every slot, wake timers unused) or $(b,event-driven) \
            (only processes with pending deliveries or an armed timer step \
-           — byte-identical outputs, much faster at large n).")
+           — byte-identical outputs, much faster at large n). Both run the \
+           same slot loop.")
 
 let progress_arg =
   Arg.(

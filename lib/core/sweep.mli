@@ -55,9 +55,9 @@ val smoke_grid : point list
 
 val fallback_cap : Mewc_sim.Engine.scheduler -> int
 (** The largest n at which the standalone A_fallback is kept on a grid:
-    201 under the legacy lock-step engine, 401 under the event-driven
-    scheduler. Dropped points are returned by {!frontier_grid} (and
-    reported as [capped_points] in the mewc-perf/2 JSON) rather than
+    201 under the [`Legacy] policy (every process steps every slot), 401
+    under [`Event_driven]. Dropped points are returned by {!frontier_grid}
+    (and reported as [capped_points] in the mewc-perf/2 JSON) rather than
     silently truncated. *)
 
 val frontier_ns : int list

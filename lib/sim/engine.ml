@@ -113,7 +113,39 @@ let compute_steps ws ~n ~active ~step_one results =
               p := !p + lanes
             done)))
 
-let run_legacy ~workers ~cfg ~options ~words ~horizon ~protocol ~adversary () =
+(* The slot loop. Both schedulers run it; they differ only in which correct
+   processes step, and that choice is made once, before the first slot, in
+   [wakes]:
+
+   - [`Event_driven] reads each machine's [Process.wake] timer, so a slot
+     steps the processes that received something or whose timer is armed,
+     and its cost scales with them instead of with [n];
+   - [`Legacy] sets every timer to [None] — "always awake" — so every
+     correct, up process steps every slot. No branch on the scheduler runs
+     per slot or per poll.
+
+   The two are observationally equivalent — same seed, same options, same
+   fault plan ⇒ byte-identical traces, meter series, decisions, and final
+   states — because of three identities:
+
+   - {e Delivery order and shuffle draws.} Only processes with pooled
+     messages are visited, in ascending pid order. Shuffling an empty inbox
+     draws nothing from the RNG, so skipping empty pools replays the shuffle
+     stream of a pass over every process. Pools are flat [Vec]s appended in
+     post order; reading them newest-first yields the cons-list order a
+     naive per-slot inbox rebuild would shuffle.
+
+   - {e Step order and event order.} Active processes step in ascending pid
+     order (one dense scan with a cheap activity test), so send ids, meter
+     charges, and trace events interleave identically under both policies.
+     Skipped steps are no-ops by the [Process.wake] contract, so their
+     absence is invisible to states and traces.
+
+   - {e Provenance.} [inbox_ids] is a persistent array that is [[]] for
+     every process without deliveries this slot, so [parents] of sends
+     (including byzantine and timer-driven ones) do not depend on who
+     stepped. *)
+let run_slots ~workers ~cfg ~options ~words ~horizon ~protocol ~adversary () =
   let {
     record_trace;
     shuffle_seed;
@@ -121,7 +153,7 @@ let run_legacy ~workers ~cfg ~options ~words ~horizon ~protocol ~adversary () =
     decided;
     profile;
     faults;
-    scheduler = _;
+    scheduler;
     shards = _;
     metrics;
   } =
@@ -161,347 +193,14 @@ let run_legacy ~workers ~cfg ~options ~words ~horizon ~protocol ~adversary () =
     List.iter (fun m -> m.Monitor.on_event ev) monitors
   in
   let prev_decided = Array.make n None in
+  (* Envelope ids are assigned in post order, so ids increase monotonically
+     along the trace and a message's id is always smaller than any message
+     it causally feeds. *)
   let next_id = ref 0 in
-  let pending = Array.make n [] in
-  (* [pending.(p)] accumulates (reversed) the (id, envelope) pairs to
-     deliver to [p] at the start of the next slot. Envelope ids are assigned
-     in post order, so ids increase monotonically along the trace and a
-     message's id is always smaller than any message it causally feeds. *)
-  let inbox_ids = Array.make n [] in
-  (* [inbox_ids.(p)] — ids of the messages delivered to [p] this slot, in
-     inbox order; the provenance [parents] of anything [p] emits now. *)
-  let delayed = Hashtbl.create 8 in
-  (* [delayed] buckets messages a [Faults.Delayed] verdict postponed, keyed
-     by delivery slot. Kept apart from [pending] so the reliable path never
-     touches it. Buckets past the horizon are simply never flushed: the
-     message is lost to the end of time, which is what a late message in a
-     terminated synchronous protocol is. *)
-  let flush_delayed slot =
-    match Hashtbl.find_opt delayed slot with
-    | None -> ()
-    | Some entries ->
-      Hashtbl.remove delayed slot;
-      (* Entries were consed (newest first); re-reverse and cons onto
-         [pending] so after the final [List.rev] they land after the slot's
-         punctual messages, in original send order. *)
-      List.iter
-        (fun (dst, entry) -> pending.(dst) <- entry :: pending.(dst))
-        (List.rev entries)
-  in
-  let is_down p =
-    match faults_rt with None -> false | Some rt -> Faults.is_down rt p
-  in
-  let deliver () =
-    let order messages =
-      (* Shuffling the (id, envelope) pairs draws exactly what shuffling the
-         bare envelopes drew, so traces stay byte-identical across the id
-         refactor for any fixed shuffle seed. *)
-      match shuffle_rng with
-      | None -> List.rev messages
-      | Some rng -> Rng.shuffle rng messages
-    in
-    let pairs = Array.map order pending in
-    Array.fill pending 0 n [];
-    (* A down process receives nothing: whatever was addressed to it this
-       slot is lost, exactly like a crashed machine's NIC. *)
-    let pairs =
-      if faults_rt = None then pairs
-      else Array.mapi (fun p inbox -> if is_down p then [] else inbox) pairs
-    in
-    Array.iteri (fun p l -> inbox_ids.(p) <- List.map fst l) pairs;
-    Array.map (List.map snd) pairs
-  in
-  let fate_for ~slot ~src ~dst ~seq =
-    match faults_rt with
-    | None -> None
-    | Some rt -> Faults.fate ~seq rt ~slot ~src ~dst
-  in
-  (* [post_pre] consumes a send whose word count and fault fate were already
-     computed — pure functions of the message, so shard workers precompute
-     them off the main domain. Everything order-sensitive (the envelope id,
-     the meter charge, trace emission, delayed buckets) happens here, on the
-     main domain, in legacy post order. *)
-  let post_pre ~slot ~src (msg, dst, word_count, fault) =
-    if not (Pid.is_valid ~n dst) then
-      invalid_arg
-        (Printf.sprintf "Engine.run: p%d sent a message to unknown process %d"
-           src dst);
-    let envelope = { Envelope.src; dst; sent_at = slot; msg } in
-    let byzantine = corrupted.(src) in
-    let charged = Meter.charge meter ~byzantine ~src ~dst ~words:word_count in
-    (match meters with
-    | None -> ()
-    | Some m ->
-      Mewc_obs.Metrics.incr m.messages_c;
-      Mewc_obs.Metrics.add m.words_c word_count;
-      slot_words := !slot_words + word_count);
-    let id = !next_id in
-    incr next_id;
-    if observing then
-      emit
-        (Trace.Send
-           {
-             id;
-             envelope;
-             byzantine_sender = byzantine;
-             words = word_count;
-             charged;
-             parents = inbox_ids.(src);
-           });
-    match fault with
-    | None -> pending.(dst) <- (id, envelope) :: pending.(dst)
-    | Some fault ->
-      (* The send happened — it was charged and traced above; only its
-         delivery is tampered with here. *)
-      mincr meters (fun m -> m.link_faults_c);
-      if observing then emit (Trace.Link_fault { slot; id; src; dst; fault });
-      (match fault with
-      | Faults.Omitted | Faults.Partitioned | Faults.Dropped -> ()
-      | Faults.Delayed k ->
-        let at = slot + 1 + k in
-        let prev = Option.value ~default:[] (Hashtbl.find_opt delayed at) in
-        Hashtbl.replace delayed at ((dst, (id, envelope)) :: prev)
-      | Faults.Duplicated ->
-        pending.(dst) <- (id, envelope) :: (id, envelope) :: pending.(dst))
-  in
-  let post ~slot ~src ~seq (msg, dst) =
-    post_pre ~slot ~src (msg, dst, words msg, fate_for ~slot ~src ~dst ~seq)
-  in
-  let step_results = Array.make n Skipped in
-  for slot = 0 to horizon - 1 do
-    Meter.begin_slot meter ~slot;
-    mincr meters (fun m -> m.slots_c);
-    if observing then emit (Trace.Slot_start slot);
-    (match faults_rt with
-    | None -> ()
-    | Some rt ->
-      List.iter
-        (fun (pid, event) ->
-          if not faulty_seen.(pid) then begin
-            faulty_seen.(pid) <- true;
-            faulty_order := pid :: !faulty_order
-          end;
-          if observing then emit (Trace.Process_fault { slot; pid; event }))
-        (Faults.transitions rt ~slot);
-      flush_delayed slot);
-    let inboxes = timed Profile.Engine "engine.deliver" deliver in
-    (* The defensive copies are lazy: honest/crash adversaries never force
-       them, so the common sweep point pays nothing for the snapshot. *)
-    let view outgoing =
-      {
-        Adversary.slot;
-        cfg;
-        states = lazy (Array.copy states);
-        corrupted = lazy (Array.copy corrupted);
-        inboxes = lazy (Array.copy inboxes);
-        correct_outgoing = outgoing;
-      }
-    in
-    (* 1. Adaptive corruption, before correct processes act this slot. *)
-    let new_corruptions =
-      timed Profile.Adversary "adversary.corrupt" (fun () ->
-          adversary.Adversary.corrupt (view []))
-    in
-    List.iter
-      (fun p ->
-        if not (Pid.is_valid ~n p) then
-          invalid_arg (Printf.sprintf "Engine.run: cannot corrupt unknown process %d" p);
-        if not corrupted.(p) then begin
-          if !corruption_count >= cfg.Config.t then
-            invalid_arg
-              (Printf.sprintf
-                 "Engine.run: adversary %s exceeded the corruption budget t=%d"
-                 adversary.Adversary.name cfg.Config.t);
-          corrupted.(p) <- true;
-          corruption_order := p :: !corruption_order;
-          incr corruption_count;
-          mincr meters (fun m -> m.corruptions_c);
-          if observing then
-            emit (Trace.Corruption { slot; pid = p; f = !corruption_count })
-        end)
-      new_corruptions;
-    (* 2. Correct processes step. A down process neither steps nor sends; a
-       corrupted one is the adversary's problem regardless of injected
-       faults. *)
-    let correct_sends = ref [] in
-    timed Profile.Machine "machine.step" (fun () ->
-        let active p = (not corrupted.(p)) && not (is_down p) in
-        let step_one p =
-          match machines.(p).Process.step ~slot ~inbox:inboxes.(p) states.(p) with
-          | state', sends ->
-            let pres =
-              List.mapi
-                (fun seq (msg, dst) ->
-                  (msg, dst, words msg, fate_for ~slot ~src:p ~dst ~seq))
-                sends
-            in
-            Stepped (state', pres)
-          | exception e -> Failed e
-        in
-        match workers with
-        | None ->
-          for p = 0 to n - 1 do
-            if active p then begin
-              match step_one p with
-              | Stepped (state', pres) ->
-                states.(p) <- state';
-                correct_sends := (p, pres) :: !correct_sends
-              | Failed e -> raise e
-              | Skipped -> ()
-            end
-          done
-        | Some ws ->
-          compute_steps ws ~n ~active ~step_one step_results;
-          (* Merge in ascending pid order — the legacy step order — raising
-             the lowest failing pid's exception, exactly as the sequential
-             scan would surface it. *)
-          for p = 0 to n - 1 do
-            match step_results.(p) with
-            | Skipped -> ()
-            | Stepped (state', pres) ->
-              step_results.(p) <- Skipped;
-              states.(p) <- state';
-              correct_sends := (p, pres) :: !correct_sends
-            | Failed e -> raise e
-          done);
-    (* 2b. Decision transitions, for the observability stream. *)
-    (match decided with
-    | Some decided when observing ->
-      for p = 0 to n - 1 do
-        if not corrupted.(p) then begin
-          match (prev_decided.(p), decided states.(p)) with
-          | None, (Some value as d) ->
-            prev_decided.(p) <- d;
-            mincr meters (fun m -> m.decisions_c);
-            emit
-              (Trace.Decision { slot; pid = p; value; parents = inbox_ids.(p) })
-          | Some v0, (Some value as d) when not (String.equal v0 value) ->
-            (* A re-decision is a protocol bug; surface it to the monitors
-               rather than silencing it here. *)
-            prev_decided.(p) <- d;
-            mincr meters (fun m -> m.decisions_c);
-            emit
-              (Trace.Decision { slot; pid = p; value; parents = inbox_ids.(p) })
-          | _ -> ()
-        end
-      done
-    | _ -> ());
-    let correct_outgoing =
-      List.concat_map
-        (fun (src, pres) ->
-          List.map
-            (fun (msg, dst, _, _) -> { Envelope.src; dst; sent_at = slot; msg })
-            pres)
-        (List.rev !correct_sends)
-    in
-    (* 3. Byzantine processes step, seeing this slot's correct sends. *)
-    let byz_view = view correct_outgoing in
-    let byz_sends = ref [] in
-    timed Profile.Adversary "adversary.byz_step" (fun () ->
-        for p = 0 to n - 1 do
-          if corrupted.(p) then
-            byz_sends :=
-              (p, adversary.Adversary.byz_step ~pid:p byz_view) :: !byz_sends
-        done);
-    (* 4. Post everything. *)
-    timed Profile.Engine "engine.post" (fun () ->
-        List.iter
-          (fun (src, pres) -> List.iter (post_pre ~slot ~src) pres)
-          (List.rev !correct_sends);
-        (* Byzantine sends go through the unsplit [post]: their fates are
-           derived from their own per-sender [seq] indices, disjoint from
-           nothing — (slot, src) already isolates them, since a corrupted
-           process never reaches the correct step phase. *)
-        List.iter
-          (fun (src, sends) ->
-            List.iteri (fun seq m -> post ~slot ~src ~seq m) sends)
-          (List.rev !byz_sends));
-    (match meters with
-    | None -> ()
-    | Some m ->
-      Mewc_obs.Metrics.observe m.slot_words_h !slot_words;
-      slot_words := 0)
-  done;
-  List.iter (fun m -> m.Monitor.on_finish ~slots:horizon) monitors;
-  {
-    states;
-    corrupted = List.rev !corruption_order;
-    f = !corruption_count;
-    faulty = List.rev !faulty_order;
-    meter;
-    trace;
-    slots = horizon;
-  }
-
-(* The event-driven scheduler. Observationally equivalent to [run_legacy] —
-   same seed, same options, same fault plan ⇒ byte-identical traces, meter
-   series, decisions, and final states — but a slot's cost scales with the
-   processes that actually have something to do (a delivery, or an armed
-   [Process.wake] timer) instead of with [n]. The three load-bearing
-   identities:
-
-   - {e Delivery order and shuffle draws.} Only processes with pooled
-     messages are visited, in ascending pid order. The legacy dense pass
-     visits everyone in ascending pid order too, but shuffling an empty
-     inbox draws nothing from the RNG, so skipping empty pools replays the
-     exact shuffle stream. Pools are flat [Vec]s appended in post order;
-     reading them newest-first reproduces the legacy cons lists.
-
-   - {e Step order and event order.} Active processes step in ascending pid
-     order (one dense scan with a cheap activity test), so send ids, meter
-     charges, and trace events interleave exactly as under legacy. Skipped
-     steps are no-ops by the [Process.wake] contract, so their absence is
-     invisible to states and traces.
-
-   - {e Provenance.} [inbox_ids] is maintained as a persistent array that
-     is [[]] for every process without deliveries this slot — exactly what
-     the legacy dense rebuild yields — so [parents] of sends (including
-     byzantine sends and timer-driven sends) match byte for byte. *)
-let run_event ~workers ~cfg ~options ~words ~horizon ~protocol ~adversary () =
-  let {
-    record_trace;
-    shuffle_seed;
-    monitors;
-    decided;
-    profile;
-    faults;
-    scheduler = _;
-    shards = _;
-    metrics;
-  } =
-    options
-  in
-  let meters = engine_meters_of metrics in
-  let slot_words = ref 0 in
-  let timed category name f =
-    match profile with
-    | None -> f ()
-    | Some p -> Profile.span p ~category name f
-  in
-  let n = cfg.Config.n in
-  let shuffle_rng = Option.map Rng.create shuffle_seed in
-  let faults_rt =
-    if Faults.is_none faults then None else Some (Faults.start ~n faults)
-  in
-  let faulty_seen = Array.make n false in
-  let faulty_order = ref [] in
-  let machines = Array.init n protocol in
-  let states = Array.map (fun m -> m.Process.init) machines in
-  let corrupted = Array.make n false in
-  let corruption_order = ref [] in
-  let corruption_count = ref 0 in
-  let meter = Meter.create () in
-  let trace = Trace.create ~enabled:record_trace in
-  let observing = record_trace || monitors <> [] in
-  let emit ev =
-    Trace.record trace ev;
-    List.iter (fun m -> m.Monitor.on_event ev) monitors
-  in
-  let prev_decided = Array.make n None in
-  let next_id = ref 0 in
-  (* Flat per-process pools, appended in post order (oldest first) and
-     reused slot after slot; [Vec.to_rev_list] recovers the legacy
-     newest-first cons list. *)
+  (* [pools.(p)] holds the (id, envelope) pairs to deliver to [p] at the
+     start of the next slot: flat, appended in post order (oldest first) and
+     reused slot after slot; [Vec.to_rev_list] recovers the newest-first
+     cons list. *)
   let pools = Array.init n (fun _ -> Vec.create ()) in
   (* The processes whose pool is nonempty — the only ones the next delivery
      pass must visit. Collected unsorted with a flag for O(1) dedup, sorted
@@ -515,12 +214,17 @@ let run_event ~workers ~cfg ~options ~words ~horizon ~protocol ~adversary () =
     end
   in
   (* Persistent inbox arrays: entries are [[]] except for this slot's
-     delivered processes, and are reset at slot end. [post] reads
-     [inbox_ids.(src)] for every sender — including timer-woken and
-     byzantine ones, whose provenance must be empty exactly as under the
-     legacy dense rebuild. *)
+     delivered processes, and are reset at slot end. [inbox_ids.(p)] holds
+     the ids of the messages delivered to [p] this slot, in inbox order —
+     the provenance [parents] of anything [p] emits now, read by [post] for
+     every sender, timer-woken and byzantine ones included. *)
   let inboxes = Array.make n [] in
   let inbox_ids = Array.make n [] in
+  (* [delayed] buckets messages a [Faults.Delayed] verdict postponed, keyed
+     by delivery slot. Kept apart from [pools] so the reliable path never
+     touches it. Buckets past the horizon are simply never flushed: the
+     message is lost to the end of time, which is what a late message in a
+     terminated synchronous protocol is. *)
   let delayed = Hashtbl.create 8 in
   let flush_delayed slot =
     match Hashtbl.find_opt delayed slot with
@@ -529,7 +233,7 @@ let run_event ~workers ~cfg ~options ~words ~horizon ~protocol ~adversary () =
       Hashtbl.remove delayed slot;
       (* Oldest-first appends at the pool's end: reading newest-first then
          yields flushed messages (newest first) ahead of the slot's punctual
-         ones — the legacy cons order. *)
+         ones, in original send order. *)
       List.iter
         (fun (dst, entry) ->
           Vec.push pools.(dst) entry;
@@ -549,9 +253,11 @@ let run_event ~workers ~cfg ~options ~words ~horizon ~protocol ~adversary () =
     | None -> None
     | Some rt -> Faults.fate ~seq rt ~slot ~src ~dst
   in
-  (* See [run_legacy]'s [post_pre]: the word count and fate arrive
-     precomputed (pure, shard-safe); the order-sensitive effects happen
-     here in post order. *)
+  (* [post_pre] consumes a send whose word count and fault fate were already
+     computed — pure functions of the message, so shard workers precompute
+     them off the main domain. Everything order-sensitive (the envelope id,
+     the meter charge, trace emission, delayed buckets) happens here, on the
+     main domain, in post order. *)
   let post_pre ~slot ~src (msg, dst, word_count, fault) =
     if not (Pid.is_valid ~n dst) then
       invalid_arg
@@ -584,6 +290,8 @@ let run_event ~workers ~cfg ~options ~words ~horizon ~protocol ~adversary () =
       Vec.push pools.(dst) (id, envelope);
       mark_dirty dst
     | Some fault ->
+      (* The send happened — it was charged and traced above; only its
+         delivery is tampered with here. *)
       mincr meters (fun m -> m.link_faults_c);
       if observing then emit (Trace.Link_fault { slot; id; src; dst; fault });
       (match fault with
@@ -605,8 +313,12 @@ let run_event ~workers ~cfg ~options ~words ~horizon ~protocol ~adversary () =
      costs n tests however few processes act. It must stay free of
      allocation and of C calls — [wake] is read once per process here, the
      inbox is matched rather than compared, and the fault plan is consulted
-     only when there is one. *)
-  let wakes = Array.map (fun m -> m.Process.wake) machines in
+     only when there is one. [wakes] is where the scheduler takes effect. *)
+  let wakes =
+    match scheduler with
+    | `Legacy -> Array.make n None
+    | `Event_driven -> Array.map (fun m -> m.Process.wake) machines
+  in
   let active ~slot p =
     (not corrupted.(p))
     && (match faults_rt with None -> true | Some rt -> not (Faults.is_down rt p))
@@ -644,8 +356,9 @@ let run_event ~workers ~cfg ~options ~words ~horizon ~protocol ~adversary () =
           Array.iter
             (fun p ->
               (* Shuffle draws happen for every nonempty pool — even a down
-                 process's, whose inbox legacy blanks only after ordering
-                 it. *)
+                 process's. A down process then receives nothing: whatever
+                 was addressed to it this slot is lost, exactly like a
+                 crashed machine's NIC. *)
               let pairs = order (Vec.to_rev_list pools.(p)) in
               Vec.clear pools.(p);
               if not (is_down p) then begin
@@ -655,6 +368,8 @@ let run_event ~workers ~cfg ~options ~words ~horizon ~protocol ~adversary () =
             ds;
           ds)
     in
+    (* The defensive copies are lazy: honest/crash adversaries never force
+       them, so the common sweep point pays nothing for the snapshot. *)
     let view outgoing =
       {
         Adversary.slot;
@@ -691,8 +406,10 @@ let run_event ~workers ~cfg ~options ~words ~horizon ~protocol ~adversary () =
         end)
       new_corruptions;
     (* 2. Active correct processes step: a delivery or an armed wake timer.
-       The dense scan keeps the legacy ascending-pid step order; the skipped
-       processes' steps are no-ops by the [Process.wake] contract. *)
+       A down process neither steps nor sends; a corrupted one is the
+       adversary's problem regardless of injected faults. The dense scan
+       keeps the ascending-pid step order; the skipped processes' steps are
+       no-ops by the [Process.wake] contract. *)
     let correct_sends = ref [] in
     Vec.clear stepped;
     timed Profile.Machine "machine.step" (fun () ->
@@ -725,6 +442,8 @@ let run_event ~workers ~cfg ~options ~words ~horizon ~protocol ~adversary () =
           (* The activity predicate runs inside the workers: [wake] only
              reads the process's own state, so it shards like [step]. *)
           compute_steps ws ~n ~active:(active ~slot) ~step_one step_results;
+          (* Merge in ascending pid order, raising the lowest failing pid's
+             exception, exactly as the sequential scan would surface it. *)
           for p = 0 to n - 1 do
             match step_results.(p) with
             | Skipped -> ()
@@ -737,8 +456,8 @@ let run_event ~workers ~cfg ~options ~words ~horizon ~protocol ~adversary () =
           done);
     (* 2b. Decision transitions. Slot 0 scans everyone (an init state may
        already be decided); afterwards only stepped processes can have
-       transitioned, so the scan follows the stepped set — in the same
-       ascending pid order as the legacy dense scan. *)
+       transitioned, so the scan follows the stepped set, in ascending pid
+       order. *)
     (match decided with
     | Some decided when observing ->
       let scan p =
@@ -750,6 +469,8 @@ let run_event ~workers ~cfg ~options ~words ~horizon ~protocol ~adversary () =
             emit
               (Trace.Decision { slot; pid = p; value; parents = inbox_ids.(p) })
           | Some v0, (Some value as d) when not (String.equal v0 value) ->
+            (* A re-decision is a protocol bug; surface it to the monitors
+               rather than silencing it here. *)
             prev_decided.(p) <- d;
             mincr meters (fun m -> m.decisions_c);
             emit
@@ -824,11 +545,7 @@ let run ~cfg ?(options = default_options) ~words ~horizon ~protocol ~adversary
   if options.shards > 1 && options.profile <> None then
     invalid_arg "Engine.run: profiling requires shards = 1";
   let go workers =
-    match options.scheduler with
-    | `Legacy ->
-      run_legacy ~workers ~cfg ~options ~words ~horizon ~protocol ~adversary ()
-    | `Event_driven ->
-      run_event ~workers ~cfg ~options ~words ~horizon ~protocol ~adversary ()
+    run_slots ~workers ~cfg ~options ~words ~horizon ~protocol ~adversary ()
   in
   if options.shards = 1 then go None
   else

@@ -40,20 +40,21 @@ type ('s, 'm) outcome = {
 }
 
 type scheduler = [ `Legacy | `Event_driven ]
-(** Which hot loop executes the run.
+(** Which correct processes the engine's one slot loop steps. The policy
+    is fixed once, before the first slot.
 
-    - [`Legacy] — the original dense loop: every process steps every slot,
-      every inbox is rebuilt every slot. O(n) work per slot even when the
-      protocol is quiescent. Kept verbatim as the oracle.
-    - [`Event_driven] — per-process pending-delivery pools; a slot only
-      visits processes that received something or whose {!Process.wake}
-      timer is armed.
+    - [`Legacy] — wake-free: every correct, up process steps every slot and
+      no {!Process.wake} is ever called. O(n) steps per slot even when the
+      protocol is quiescent.
+    - [`Event_driven] — a slot steps only the processes that received
+      something or whose {!Process.wake} timer is armed.
 
     The two are {e observationally equivalent}: same seed, same options,
     same fault plan ⇒ byte-identical [mewc-trace/4] traces, decisions,
     meter series, word counts, monitor verdicts, and final states. The
     differential suite ([test_engine_diff]) enforces this across protocols,
-    fuzz scenarios, and chaos fault plans. *)
+    fuzz scenarios, and chaos fault plans, and checks both policies against
+    an independent naive reference loop. *)
 
 val scheduler_to_string : scheduler -> string
 (** ["legacy"] / ["event-driven"]. *)
@@ -85,7 +86,8 @@ type ('s, 'm) options = {
           Raises [Invalid_argument] from {!run} if the plan fails
           {!Faults.validate}. *)
   scheduler : scheduler;
-      (** which hot loop runs the slots; [`Legacy] by default. *)
+      (** which processes each slot steps; [`Legacy] (all of them) by
+          default. *)
   shards : int;
       (** number of domains a run shards its processes across (default 1 =
           fully sequential, no domains involved). Within a slot, process
@@ -94,7 +96,7 @@ type ('s, 'm) options = {
           word counts, and fault fates, and the main domain merges them in
           ascending pid order before the sequential post phase assigns
           envelope ids, meter charges, and trace events. Sharding composes
-          with both schedulers and is {e observationally invisible}: any
+          with both policies and is {e observationally invisible}: any
           shard count produces byte-identical traces, decisions, meter
           series, and final states (the cache hit/miss {e split} in
           {!Mewc_crypto.Pki.cache_stats} is the one legitimate exception —
@@ -118,7 +120,7 @@ type ('s, 'm) options = {
 
 val default_options : ('s, 'm) options
 (** No trace, in-order delivery, no monitors, no decision projection, no
-    faults, legacy scheduler, one shard, no metrics. *)
+    faults, the wake-free [`Legacy] policy, one shard, no metrics. *)
 
 val run :
   cfg:Config.t ->

@@ -26,11 +26,11 @@ type ('s, 'm) t = {
           projection; internally inert bookkeeping such as materializing an
           empty scratch table is tolerated). Answering
           [true] too often is always safe (the process merely steps, as the
-          legacy scheduler makes it do every slot); answering [false] when
+          [`Legacy] policy makes it do every slot); answering [false] when
           the step would have acted breaks scheduler equivalence. [None]
           means "always step" — the conservative default that makes any
-          machine event-scheduler-correct. The legacy scheduler ignores this
-          field entirely. *)
+          machine event-scheduler-correct. Under [`Legacy] the engine
+          treats every machine as [None] and never calls [wake]. *)
 }
 
 val broadcast : n:int -> 'm -> ('m * Mewc_prelude.Pid.t) list

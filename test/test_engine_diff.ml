@@ -1,11 +1,12 @@
-(* The differential gate behind the event-driven and sharded engines: for
-   the same seed, options and fault plan, every (scheduler, shards) pair
-   must be observationally equivalent to the `Legacy sequential loop —
-   byte-identical mewc-trace/3 traces, identical decisions, word/message
+(* The differential gate behind the engine's step policies and sharding:
+   for the same seed, options and fault plan, every (scheduler, shards)
+   pair must be observationally equivalent to the `Legacy sequential run —
+   byte-identical mewc-trace/4 traces, identical decisions, word/message
    counts and monitor verdicts. Three batteries: the protocol zoo over a
    sweep-style grid, the fuzzer's adversary scenarios, and the chaos
-   fault-plan profiles; each case runs under both schedulers at
-   shards in {1, 2, 4}. *)
+   fault-plan profiles; each case runs under both policies at shards in
+   {1, 2, 4}. Since both policies share one slot loop, every fault-free
+   case is also checked against [Ref_engine], an independent naive loop. *)
 
 open Mewc_prelude
 open Mewc_sim
@@ -72,6 +73,38 @@ let check_equiv name run =
       (`Event_driven, 4);
     ]
 
+(* Both policies at shards 1 and 2 against [Ref_engine]: trace JSON, correct
+   and byzantine words, and the printed decisions. *)
+let check_ref (type p s m d) label ((module P) : (p, s, m, d) Protocol.t) ~cfg
+    ~params ~seed ~shuffle_seed ~adversary =
+  let horizon = P.horizon ~cfg ~params and decided = P.decided_str in
+  let run engine =
+    let pki, secrets = Mewc_crypto.Pki.setup ~seed ~n:cfg.Config.n () in
+    let protocol pid = P.machine ~cfg ~pki ~secret:secrets.(pid) ~params ~pid in
+    let trace, meter, states = engine ~protocol ~adversary:(adversary ~pki ~secrets) in
+    let decision st = Option.value ~default:"-" (decided st) in
+    Printf.sprintf "%s\nwords=%d byz_words=%d decided=%s"
+      (Jsonx.to_string (Trace.to_json ~encode:P.encode_msg trace))
+      (Meter.correct_words meter) (Meter.byzantine_words meter)
+      (String.concat "," (List.map decision (Array.to_list states)))
+  in
+  let expected = run (Ref_engine.run ~cfg ~shuffle_seed ~decided ~words:P.words ~horizon) in
+  List.iter
+    (fun (scheduler, shards) ->
+      let options =
+        { Engine.default_options with
+          record_trace = true; shuffle_seed; decided = Some decided; scheduler; shards }
+      in
+      let engine ~protocol ~adversary =
+        let o = Engine.run ~cfg ~options ~words:P.words ~horizon ~protocol ~adversary () in
+        (o.Engine.trace, o.meter, o.states)
+      in
+      Alcotest.(check string)
+        (Printf.sprintf "%s [reference vs %s shards=%d]" label
+           (Engine.scheduler_to_string scheduler) shards)
+        expected (run engine))
+    [ (`Legacy, 1); (`Event_driven, 1); (`Legacy, 2); (`Event_driven, 2) ]
+
 (* ---- battery 1: the protocol zoo over a sweep-style grid --------------- *)
 
 let diff_grid_target (Campaign.Target { name; protocol; params; ablated = _ }) =
@@ -102,7 +135,9 @@ let diff_grid_target (Campaign.Target { name; protocol; params; ablated = _ }) =
                         scheduler;
                         shards;
                       }
-                    ~params:(params cfg) ~adversary ()))
+                    ~params:(params cfg) ~adversary ());
+              check_ref label protocol ~cfg ~params:(params cfg) ~seed:1L
+                ~shuffle_seed ~adversary)
             [ None; Some 42L ])
         [ 0; 1; cfg.Config.t ])
     [ cfg9; cfg13 ]
@@ -137,7 +172,13 @@ let diff_scenarios (Campaign.Target { name; protocol; params; ablated }) =
             }
           ~params
           ~adversary:(Compile.adversary protocol ~cfg ~params scenario)
-          ())
+          ());
+    if Faults.is_none (Compile.plan_of_scenario scenario) then begin
+      let params = params cfg in
+      check_ref label protocol ~cfg ~params ~seed:scenario.Scenario.seed
+        ~shuffle_seed:scenario.Scenario.shuffle
+        ~adversary:(Compile.adversary protocol ~cfg ~params scenario)
+    end
   done
 
 let fuzz_cases () = List.iter diff_scenarios Campaign.zoo

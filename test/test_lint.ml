@@ -80,16 +80,17 @@ let parse ~file source =
 
 let read file = In_channel.with_open_bin file In_channel.input_all
 
-let rec ml_files dir =
+let rec sources ?(suffixes = [ ".ml" ]) dir =
   Sys.readdir dir |> Array.to_list |> List.sort String.compare
   |> List.concat_map (fun entry ->
          let path = Filename.concat dir entry in
-         if Sys.is_directory path then ml_files path
-         else if Filename.check_suffix entry ".ml" then [ path ]
+         if entry.[0] = '.' then []
+         else if Sys.is_directory path then sources ~suffixes path
+         else if List.exists (Filename.check_suffix entry) suffixes then [ path ]
          else [])
 
 let lib_has_no_partial_printers () =
-  let files = ml_files "../lib" in
+  let files = sources "../lib" in
   Alcotest.(check bool) "found the library sources" true (List.length files > 20);
   let offenders =
     List.concat_map
@@ -119,6 +120,86 @@ let lint_catches_planted_bindings () =
     (lines {|let show st = Option.map (Format.asprintf "%a" pp) st|});
   flagged "fully applied constant" [] (lines {|let s = Format.asprintf "%d%%" 3|})
 
+(* ---- dead modules ------------------------------------------------------
+
+   A [lib/] module no other compilation unit names is dead code. Names come
+   from the AST's [Longident]s, so a comment or a string naming a module
+   does not keep it alive. *)
+
+let rec components acc = function
+  | Longident.Lident s -> s :: acc
+  | Ldot (l, s) -> components (s :: acc) l
+  | Lapply (a, b) -> components (components acc a) b
+
+let unit_name file =
+  String.capitalize_ascii (Filename.remove_extension (Filename.basename file))
+
+(* The source file's unit name, and the names its AST mentions. *)
+let unit_names ~file source =
+  let names = Hashtbl.create 64 in
+  let add { Location.txt; _ } =
+    List.iter (fun s -> Hashtbl.replace names s ()) (components [] txt)
+  in
+  let on ids hook it x =
+    List.iter add (ids x);
+    hook it x
+  in
+  let exprs e =
+    match e.pexp_desc with
+    | Pexp_ident l | Pexp_construct (l, _) | Pexp_field (_, l) | Pexp_new l -> [ l ]
+    | Pexp_record (fs, _) -> List.map fst fs
+    | _ -> []
+  and pats p =
+    match p.ppat_desc with
+    | Ppat_construct (l, _) | Ppat_type l | Ppat_open (l, _) -> [ l ]
+    | Ppat_record (fs, _) -> List.map fst fs
+    | _ -> []
+  and typs t =
+    match t.ptyp_desc with
+    | Ptyp_constr (l, _) | Ptyp_class (l, _) | Ptyp_package (l, _) -> [ l ]
+    | _ -> []
+  and mods m = match m.pmod_desc with Pmod_ident l -> [ l ] | _ -> []
+  and mtys m = match m.pmty_desc with Pmty_ident l | Pmty_alias l -> [ l ] | _ -> [] in
+  let d = Ast_iterator.default_iterator in
+  let it =
+    { d with expr = on exprs d.expr; pat = on pats d.pat; typ = on typs d.typ;
+      module_expr = on mods d.module_expr; module_type = on mtys d.module_type;
+      open_description = on (fun o -> [ o.popen_expr ]) d.open_description }
+  in
+  if Filename.check_suffix file ".mli" then
+    it.signature it (Parse.interface (Lexing.from_string source))
+  else it.structure it (parse ~file source);
+  (unit_name file, names)
+
+(* The [lib] units that no unit but their own [.ml]/[.mli] names. *)
+let dead_units ~lib units =
+  List.filter
+    (fun m -> not (List.exists (fun (u, names) -> u <> m && Hashtbl.mem names m) units))
+    lib
+
+let lib_has_no_dead_modules () =
+  let units =
+    [ "../lib"; "../bin"; "../bench"; "."; "../examples"; "../perfbench" ]
+    |> List.concat_map (sources ~suffixes:[ ".ml"; ".mli" ])
+    |> List.map (fun file -> unit_names ~file (read file))
+  in
+  let lib = List.map unit_name (sources "../lib") in
+  Alcotest.(check bool) "found the other units" true (List.length units > 2 * List.length lib);
+  Alcotest.(check (list string)) "lib modules no other unit names" [] (dead_units ~lib units)
+
+let lint_catches_planted_dead_modules () =
+  [
+    ("alive.ml", "let x = 1");
+    ("user.ml", "open Typed\nlet y = Alive.x\ntype t = Viatype.t");
+    ("ghost.ml", "let z = 2");
+    ("talker.ml", {|(* Ghost.z *) let w = "Ghost.z"|});
+    ("selfish.mli", "type t\nval f : Selfish.t -> unit");
+    ("typed.ml", "let t = 0");
+  ]
+  |> List.map (fun (file, source) -> unit_names ~file source)
+  |> dead_units ~lib:[ "Alive"; "Ghost"; "Selfish"; "Typed"; "Viatype" ]
+  |> Alcotest.(check (list string)) "dead" [ "Ghost"; "Selfish" ]
+
 let () =
   Alcotest.run "lint"
     [
@@ -128,5 +209,12 @@ let () =
             lib_has_no_partial_printers;
           Alcotest.test_case "lint catches planted bindings" `Quick
             lint_catches_planted_bindings;
+        ] );
+      ( "dead modules",
+        [
+          Alcotest.test_case "every lib module is named elsewhere" `Quick
+            lib_has_no_dead_modules;
+          Alcotest.test_case "lint catches planted dead modules" `Quick
+            lint_catches_planted_dead_modules;
         ] );
     ]

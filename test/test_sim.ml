@@ -64,6 +64,26 @@ let delivery_next_slot () =
   Alcotest.(check (list int)) "p0 got pong sent at 1" [ 1 ] res.Engine.states.(0).got;
   Alcotest.(check int) "words" 2 (Meter.correct_words res.Engine.meter)
 
+(* [`Legacy] is the wake-free policy: it steps every correct process every
+   slot and never consults [wake], so a machine whose timer raises still
+   runs, with the trace of the same machine without a timer. *)
+let legacy_never_polls_wake () =
+  let run ~wake scheduler shards =
+    let options = { Engine.default_options with record_trace = true; scheduler; shards } in
+    let protocol pid = { (ping_protocol pid) with Process.wake } in
+    let res =
+      Engine.run ~cfg:(Config.create ~n:3 ~t:1) ~options ~words:(fun _ -> 1) ~horizon:4
+        ~protocol ~adversary:(Adversary.honest ~name:"h") ()
+    in
+    Mewc_prelude.Jsonx.to_string (Trace.to_json ~encode:Fun.id res.Engine.trace)
+  in
+  let raising = Some (fun ~slot:_ _ -> failwith "wake polled") in
+  let expected = run ~wake:None `Event_driven 1 in
+  Alcotest.(check string) "legacy shards=1" expected (run ~wake:raising `Legacy 1);
+  Alcotest.(check string) "legacy shards=2" expected (run ~wake:raising `Legacy 2);
+  Alcotest.check_raises "event-driven polls it" (Failure "wake polled") (fun () ->
+      ignore (run ~wake:raising `Event_driven 1))
+
 let self_sends_free () =
   let cfg = Config.create ~n:3 ~t:1 in
   let protocol pid =
@@ -525,6 +545,7 @@ let () =
           Alcotest.test_case "zero horizon" `Quick zero_horizon;
           Alcotest.test_case "double corruption" `Quick double_corruption_single_charge;
           Alcotest.test_case "per-slot series" `Quick per_slot_series;
+          Alcotest.test_case "legacy never polls wake" `Quick legacy_never_polls_wake;
         ] );
       ( "allocation",
         [
