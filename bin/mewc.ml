@@ -623,9 +623,9 @@ let trace_cmd protocol n adversary f seed input format output cone dot =
 (* ---- `bench` --------------------------------------------------------------- *)
 
 (* Grid selection shared by `bench` and the perf subcommands. The frontier
-   grid depends on the scheduler (the standalone-fallback cap moves), and
-   whatever the cap drops is carried into the report instead of silently
-   vanishing. *)
+   grid depends on the scheduler (the standalone-fallback cap moves);
+   `bench` prints whatever the cap drops instead of letting it silently
+   vanish. *)
 let select_grid ~smoke ~frontier ~scheduler =
   if smoke && frontier then die_misuse "--smoke and --frontier are exclusive"
   else if frontier then begin
@@ -654,7 +654,7 @@ let heartbeat_of enabled ~label ~total =
     (Some (fun () -> Mewc_obs.Heartbeat.tick hb),
      fun () -> Mewc_obs.Heartbeat.finish hb)
 
-let bench_cmd jobs smoke frontier scheduler shards output progress =
+let bench_cmd jobs smoke frontier scheduler shards progress =
   let scheduler = scheduler_of_flag scheduler in
   if shards < 1 then die_misuse "--shards %d: need at least one shard" shards;
   let grid, capped, grid_name = select_grid ~smoke ~frontier ~scheduler in
@@ -662,7 +662,7 @@ let bench_cmd jobs smoke frontier scheduler shards output progress =
   let tick, finish =
     heartbeat_of progress ~label:"bench" ~total:(List.length grid)
   in
-  let report = Sweep.run_perf ?jobs ~scheduler ~capped ~shard_counts ?progress:tick grid in
+  let report = Sweep.run_perf ?jobs ~scheduler ~shard_counts ?progress:tick grid in
   finish ();
   pr
     "mewc bench: %d points (%s grid, %s engine), %d cores, jobs=%d\n\
@@ -683,21 +683,11 @@ let bench_cmd jobs smoke frontier scheduler shards output progress =
     report.Sweep.shard_wall_s;
   pr "  sharded output %s sequential output\n"
     (if report.Sweep.shards_identical then "==" else "!= (BUG)");
-  (match report.Sweep.capped with
-  | [] -> ()
-  | capped ->
+  if capped <> [] then
     pr "  capped (standalone fallback beyond n=%d): %s\n"
       (Sweep.fallback_cap scheduler)
       (String.concat ", "
-         (List.map (Format.asprintf "%a" Sweep.pp_point) capped)));
-  (match output with
-  | None -> ()
-  | Some path ->
-    let oc = open_out path in
-    output_string oc (Jsonx.to_string (Sweep.report_to_json report));
-    output_char oc '\n';
-    close_out oc;
-    pr "wrote %s (schema mewc-perf/2)\n" path);
+         (List.map (Format.asprintf "%a" Sweep.pp_point) capped));
   if not (report.Sweep.identical && report.Sweep.shards_identical) then exit 1
 
 (* ---- `perf`: the regression ledger -------------------------------------- *)
@@ -716,12 +706,12 @@ let entry_label (e : Ledger.entry) = Printf.sprintf "%s@%s" e.Ledger.rev e.Ledge
 (* One profiled sweep; every perf subcommand funnels through here so the
    parallel-equals-sequential gate also guards the ledger's inputs. *)
 let perf_sweep ~smoke ~frontier ~scheduler ~jobs =
-  let grid, capped, grid_name = select_grid ~smoke ~frontier ~scheduler in
+  let grid, _capped, grid_name = select_grid ~smoke ~frontier ~scheduler in
   let profile = Profile.create () in
   (* The smoke grid keeps its shard passes cheap; the real grids record the
      full doubling curve the ledger exists to track. *)
   let shard_counts = if smoke then [ 1; 2 ] else [ 1; 2; 4; 8 ] in
-  let report = Sweep.run_perf ?jobs ~profile ~scheduler ~capped ~shard_counts grid in
+  let report = Sweep.run_perf ?jobs ~profile ~scheduler ~shard_counts grid in
   if not report.Sweep.identical then
     die_misuse "perf: parallel sweep diverged from sequential (BUG)";
   if not report.Sweep.shards_identical then
@@ -796,15 +786,24 @@ let perf_diff ledger threshold json_out against smoke scheduler jobs sel_a sel_b
   let a, b, label_a, label_b =
     if against then begin
       let grid = if smoke then "smoke" else "standard" in
+      let scheduler = scheduler_of_flag scheduler in
+      let engine = Engine.scheduler_to_string scheduler in
+      (* A baseline must have run the same grid on the same engine: wall
+         clocks across schedulers are not comparable. *)
       let base =
         match
           List.rev
-            (List.filter (fun (e : Ledger.entry) -> String.equal e.Ledger.grid grid) entries)
+            (List.filter
+               (fun (e : Ledger.entry) ->
+                 String.equal e.Ledger.grid grid
+                 && String.equal e.Ledger.scheduler engine)
+               entries)
         with
         | e :: _ -> e
-        | [] -> die_misuse "perf: %s has no %s-grid entry to diff against" ledger grid
+        | [] ->
+          die_misuse "perf: %s has no %s-grid %s entry to diff against" ledger
+            grid engine
       in
-      let scheduler = scheduler_of_flag scheduler in
       let report, profile, grid =
         perf_sweep ~smoke ~frontier:false ~scheduler ~jobs
       in
@@ -846,6 +845,9 @@ let perf_smoke ledger =
       Sys.remove p;
       (p, true)
   in
+  (* die_misuse exits, so the scratch file is removed at exit, on every
+     path. *)
+  if scratch then at_exit (fun () -> if Sys.file_exists path then Sys.remove path);
   let report, profile, grid =
     perf_sweep ~smoke:true ~frontier:false ~scheduler:`Legacy ~jobs:None
   in
@@ -869,7 +871,6 @@ let perf_smoke ledger =
     || d.Ledger.only_b <> []
     || List.exists (fun (dl : Ledger.delta) -> dl.Ledger.words_ratio <> 1.0) d.Ledger.matched
   then die_misuse "perf smoke: self-diff is not a zero delta";
-  if scratch then Sys.remove path;
   pr "mewc perf: smoke ok — %d rows appended, round-tripped byte-identically, \
       self-diff is zero\n"
     (List.length report.Sweep.rows)
@@ -1426,13 +1427,6 @@ let bench_term =
              follows the scheduler and the dropped points are reported, \
              not silently truncated.")
   in
-  let output =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "o"; "output" ] ~docv:"FILE"
-          ~doc:"Write the mewc-perf/2 JSON report to FILE.")
-  in
   let shards =
     Arg.(
       value & opt int 8
@@ -1444,7 +1438,7 @@ let bench_term =
              the curve beyond the baseline pass.")
   in
   Term.(
-    const bench_cmd $ jobs $ smoke $ frontier $ scheduler_arg $ shards $ output
+    const bench_cmd $ jobs $ smoke $ frontier $ scheduler_arg $ shards
     $ progress_arg)
 
 let fuzz_term =
@@ -1636,8 +1630,8 @@ let perf_cmd =
         & info [ "against-ledger" ]
             ~doc:
               "Run a fresh sweep and diff it against the most recent ledger \
-               entry on the same grid (baseline = ledger, candidate = \
-               worktree).")
+               entry on the same grid and scheduler (baseline = ledger, \
+               candidate = worktree); no such entry exits 1.")
     in
     let sel_a =
       Arg.(
@@ -1805,9 +1799,9 @@ let report_term =
       value & opt string "."
       & info [ "dir" ] ~docv:"DIR"
           ~doc:
-            "Directory holding the five committed artifacts \
-             (BENCH_perf.json, BENCH_ledger.json, BENCH_throughput.json, \
-             BENCH_degrade.json, BENCH_observability.json).")
+            "Directory holding the four committed artifacts \
+             (BENCH_ledger.json, BENCH_throughput.json, BENCH_degrade.json, \
+             BENCH_observability.json).")
   in
   let out =
     Arg.(
@@ -2005,10 +1999,10 @@ let cmd =
            ~doc:
              "Run the (protocol, n, f) perf sweep sequentially, \
               domain-parallel across points, and intra-run sharded at each \
-              shard count up to --shards; report wall-clocks, speedup and \
-              crypto-cache hit rates (mewc-perf/2), and verify every \
-              parallel and sharded output is byte-identical to the \
-              sequential one.")
+              shard count up to --shards; report wall-clocks and speedup, \
+              and verify every parallel and sharded output is \
+              byte-identical to the sequential one. Nothing is written: \
+              $(b,mewc perf append) records a sweep in the ledger.")
         bench_term;
       Cmd.v
         (Cmd.info "fuzz"
@@ -2033,7 +2027,7 @@ let cmd =
              "Regenerate the analytics report (words-vs-n frontier against \
               the literature's reference shapes, event-vs-legacy scheduler \
               ratio, service throughput, chaos heatmap — CSV + SVG + \
-              REPORT.md) from the five committed benchmark artifacts, after \
+              REPORT.md) from the four committed benchmark artifacts, after \
               re-checking their cross-artifact consistency invariants. \
               $(b,--check) byte-compares the regeneration against the \
               committed files instead of writing; drift or a violated \

@@ -1,11 +1,15 @@
 (** The perf-regression ledger: an append-only JSON history of benchmark
     runs, diffable pairwise so a performance regression is a comparison
-    against recorded history instead of a shrug.
+    against recorded history instead of a shrug. It is the only artifact
+    a perf sweep is recorded in ([mewc perf append]).
 
     One {!entry} is one {!Sweep.run_perf} invocation: provenance (git rev
     and date, both supplied by the caller — this library never shells out),
-    the machine facts, both wall clocks, the profiler's per-category
-    rollup, and every deterministic {!Sweep.row}. The file
+    the grid and scheduler, the machine facts, the sequential, parallel and
+    per-shard-count wall clocks, the profiler's per-category rollup, and
+    every deterministic {!Sweep.row} with its crypto-cache counters. Points
+    a grid's fallback cap dropped are not stored: they are a pure function
+    of the grid and scheduler ({!Sweep.frontier_grid}). The file
     ([BENCH_ledger.json] by convention) carries schema ["mewc-ledger/1"]
     and is rewritten atomically on {!append} (write-then-rename).
 

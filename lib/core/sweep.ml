@@ -289,7 +289,6 @@ type report = {
   speedup : float;
   identical : bool;
   scheduler : Mewc_sim.Engine.scheduler;
-  capped : point list;
   shard_wall_s : (int * float) list;
   shards_identical : bool;
   parallelism : string;
@@ -299,7 +298,7 @@ let parallelism_note ~cores =
   if cores = 1 then "degraded (1 core)"
   else Printf.sprintf "ok (%d cores)" cores
 
-let run_perf ?jobs ?profile ?(scheduler = `Legacy) ?(capped = [])
+let run_perf ?jobs ?profile ?(scheduler = `Legacy)
     ?(shard_counts = [ 1; 2; 4; 8 ]) ?progress points =
   let jobs = match jobs with Some j -> max 1 j | None -> Pool.default_jobs () in
   let timed f =
@@ -347,72 +346,7 @@ let run_perf ?jobs ?profile ?(scheduler = `Legacy) ?(capped = [])
     speedup = (if parallel_s > 0.0 then sequential_s /. parallel_s else 1.0);
     identical;
     scheduler;
-    capped;
     shard_wall_s = List.map fst shard_results;
     shards_identical = List.for_all snd shard_results;
     parallelism = parallelism_note ~cores;
   }
-
-(* Aggregate cache traffic per protocol: the per-protocol hit rate is the
-   headline number ("how much re-hashing the caches removed for weak BA"). *)
-let per_protocol_crypto rows =
-  List.filter_map
-    (fun proto ->
-      let of_proto = List.filter (fun r -> String.equal r.point.protocol proto) rows in
-      if of_proto = [] then None
-      else begin
-        let sum f = List.fold_left (fun acc r -> acc + f r.crypto) 0 of_proto in
-        let open Mewc_crypto.Pki in
-        let stats =
-          {
-            verify_hits = sum (fun c -> c.verify_hits);
-            verify_misses = sum (fun c -> c.verify_misses);
-            agg_hits = sum (fun c -> c.agg_hits);
-            agg_misses = sum (fun c -> c.agg_misses);
-          }
-        in
-        Some (proto, cache_stats_to_json stats)
-      end)
-    protocols
-
-let report_to_json r =
-  Jsonx.Schema.tag "mewc-perf/2"
-    [
-      ( "experiment",
-        Jsonx.Str
-          "sweep wall-clock: sequential vs domain-parallel across points and \
-           across intra-run shard counts, with crypto-cache hit rates" );
-      ("cores", Jsonx.Int r.cores);
-      ("jobs", Jsonx.Int r.jobs);
-      (* The honest story up front: a 1-core host cannot speed anything up,
-         whatever the speedup quotient's noise says. *)
-      ("parallelism", Jsonx.Str r.parallelism);
-      ("sequential_wall_s", Jsonx.Float r.sequential_s);
-      ("parallel_wall_s", Jsonx.Float r.parallel_s);
-      ("speedup", Jsonx.Float r.speedup);
-      ("parallel_identical_to_sequential", Jsonx.Bool r.identical);
-      ( "shards",
-        Jsonx.Arr
-          (List.map
-             (fun (shards, wall) ->
-               Jsonx.Obj
-                 [ ("shards", Jsonx.Int shards); ("wall_s", Jsonx.Float wall) ])
-             r.shard_wall_s) );
-      ("shards_identical_to_sequential", Jsonx.Bool r.shards_identical);
-      ("scheduler", Jsonx.Str (Mewc_sim.Engine.scheduler_to_string r.scheduler));
-      ( "capped_points",
-        (* What the fallback cap dropped — reported, never silently
-           truncated. *)
-        Jsonx.Arr
-          (List.map
-             (fun p ->
-               Jsonx.Obj
-                 [
-                   ("protocol", Jsonx.Str p.protocol);
-                   ("n", Jsonx.Int p.n);
-                   ("f_spec", Jsonx.Str p.f_spec);
-                 ])
-             r.capped) );
-      ("crypto_cache_by_protocol", Jsonx.Obj (per_protocol_crypto r.rows));
-      ("rows", Jsonx.Arr (List.map row_to_json r.rows));
-    ]

@@ -4,9 +4,11 @@
     builds its own PKI, RNG, meter and trace from a seed that is a pure
     function of the point, so points can run in any order — or in parallel
     on OCaml 5 domains via {!Mewc_prelude.Pool} — and produce identical
-    {!row}s. [bench/main.exe], [mewc bench] and the CI smoke gate all run
-    through this module, and the byte-identical-under-parallelism property
-    is enforced by tests and by {!run_perf} itself on every invocation.
+    {!row}s. [mewc bench], [mewc perf] and the perf tests all run through
+    this module, and the byte-identical-under-parallelism property is
+    enforced by tests and by {!run_perf} itself on every invocation. The
+    perf-regression ledger ({!Ledger}) is the one artifact that records a
+    sweep.
 
     Timing lives {e outside} the row identity: a row's deterministic facts
     (words, latency, signatures, crypto-cache counters …) are what the
@@ -57,8 +59,8 @@ val fallback_cap : Mewc_sim.Engine.scheduler -> int
 (** The largest n at which the standalone A_fallback is kept on a grid:
     201 under the [`Legacy] policy (every process steps every slot), 401
     under [`Event_driven]. Dropped points are returned by {!frontier_grid}
-    (and reported as [capped_points] in the mewc-perf/2 JSON) rather than
-    silently truncated. *)
+    (and printed by [mewc bench]) rather than silently truncated; being a
+    pure function of the scheduler, they are not recorded in the ledger. *)
 
 val frontier_ns : int list
 (** n ∈ \{21, 101, 201, 401, 1001, 2001\} — the words-vs-n frontier. *)
@@ -142,9 +144,6 @@ type report = {
   speedup : float;  (** sequential_s /. parallel_s *)
   identical : bool;  (** parallel rows ≡ sequential rows, byte for byte *)
   scheduler : Mewc_sim.Engine.scheduler;  (** which engine ran the grid *)
-  capped : point list;
-      (** points the fallback cap dropped from the requested grid; [[]]
-          unless the caller passed them through *)
   shard_wall_s : (int * float) list;
       (** wall clock of one sequential-across-points pass per shard count
           (the intra-run sharding curve); shard count 1 is the baseline *)
@@ -160,7 +159,6 @@ val run_perf :
   ?jobs:int ->
   ?profile:Mewc_sim.Profile.t ->
   ?scheduler:Mewc_sim.Engine.scheduler ->
-  ?capped:point list ->
   ?shard_counts:int list ->
   ?progress:(unit -> unit) ->
   point list ->
@@ -175,12 +173,4 @@ val run_perf :
     instruments the {e sequential} pass only (profilers are not
     domain-safe); [progress] likewise ticks once per point of the
     sequential pass only — heartbeats never interleave across domains.
-    [capped] (default empty) is carried verbatim into the report for the
-    JSON's [capped_points] member. *)
-
-val report_to_json : report -> Mewc_prelude.Jsonx.t
-(** Schema ["mewc-perf/2"]: machine facts (cores, jobs), the
-    [parallelism] note, both wall-clock times, the speedup, per-shard-count
-    wall clocks and their identity verdict, the scheduler, the points the
-    fallback cap excluded ([capped_points]), per-protocol crypto-cache hit
-    rates, and every row. *)
+    {!Ledger.of_report} is how a report is recorded. *)

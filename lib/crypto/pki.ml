@@ -24,9 +24,15 @@ module Memo = struct
   let domain_tables : (int, tables) Hashtbl.t Domain.DLS.key =
     Domain.DLS.new_key (fun () -> Hashtbl.create 16)
 
-  (* Tables of long-dead memos are swept wholesale once a domain has seen
-     this many distinct memos — a rare, correctness-neutral event. *)
+  (* Once a domain has seen this many distinct memos, all but its
+     [kept_tables] newest are swept — a rare, correctness-neutral event.
+     The newest are kept because the run this domain is executing set its
+     memos up last: sweeping them too would empty a live table mid-run,
+     and the run's hit/miss split would then depend on how many memos the
+     domain had seen before it (which sharded runs make timing-dependent),
+     breaking the parallel-equals-sequential row identity. *)
   let max_live_tables = 64
+  let kept_tables = 8
 
   type t = {
     id : int;
@@ -48,8 +54,12 @@ module Memo = struct
     match Hashtbl.find_opt per_domain m.id with
     | Some tbl -> tbl
     | None ->
-      if Hashtbl.length per_domain >= max_live_tables then
-        Hashtbl.reset per_domain;
+      if Hashtbl.length per_domain >= max_live_tables then begin
+        let ids = Hashtbl.fold (fun id _ acc -> id :: acc) per_domain [] in
+        List.iteri
+          (fun i id -> if i >= kept_tables then Hashtbl.remove per_domain id)
+          (List.sort (fun a b -> Int.compare b a) ids)
+      end;
       let tbl = Hashtbl.create 256 in
       Hashtbl.add per_domain m.id tbl;
       tbl

@@ -1,4 +1,4 @@
-(* Cross-artifact invariants: what must hold across the five committed
+(* Cross-artifact invariants: what must hold across the four committed
    artifacts for the repository's headline claims to be trustworthy. Each
    violated invariant is one finding; [mewc report --check] turns a
    non-empty list into exit 3 — the repo-wide "finding" code. *)
@@ -13,7 +13,7 @@ let findingf check fmt = Printf.ksprintf (fun detail -> { check; detail }) fmt
 (* ---- per-artifact invariants -------------------------------------------- *)
 
 let rows_findings ~ctx rows =
-  (* Structural sanity shared by perf rows and every ledger entry's rows:
+  (* Structural sanity of every ledger entry's rows:
      t = (n-1)/2 (every grid runs Config.optimal), positive word counts,
      and one row per (protocol, n, f_spec). *)
   let shape =
@@ -53,21 +53,6 @@ let rows_findings ~ctx rows =
       rows
   in
   shape @ dups
-
-let perf_findings (p : Loader.perf) =
-  let identity =
-    (if p.Loader.parallel_identical then []
-     else
-       [
-         findingf "perf-identity"
-           "parallel rows were not byte-identical to sequential";
-       ])
-    @
-    if p.Loader.shards_identical then []
-    else
-      [ findingf "perf-identity" "sharded rows were not identical to sequential" ]
-  in
-  identity @ rows_findings ~ctx:"perf" p.Loader.rows
 
 let ledger_findings entries =
   List.concat
@@ -245,8 +230,7 @@ let observability_findings runs =
     runs
 
 let run (a : Loader.artifacts) =
-  perf_findings a.Loader.perf
-  @ ledger_findings a.Loader.ledger
+  ledger_findings a.Loader.ledger
   @ ledger_determinism a.Loader.ledger
   @ ratio_findings a.Loader.ledger
   @ throughput_findings a.Loader.throughput

@@ -1,4 +1,4 @@
-(* Typed, schema-gated views of the five committed benchmark artifacts.
+(* Typed, schema-gated views of the four committed benchmark artifacts.
    Everything [mewc report] draws is re-parsed through here — the figures
    can only show what the artifacts actually say, and a malformed or
    wrong-schema file is a load error, never a silently empty curve. *)
@@ -38,59 +38,6 @@ let map_all ~ctx f = function
         Ok (v :: acc))
       (Ok []) items
     |> Result.map List.rev
-
-(* ---- mewc-perf/2 -------------------------------------------------------- *)
-
-type perf = {
-  cores : int;
-  jobs : int;
-  parallelism : string;
-  sequential_wall_s : float;
-  parallel_wall_s : float;
-  speedup : float;
-  parallel_identical : bool;
-  shards_identical : bool;
-  scheduler : string;
-  rows : Sweep.row list;
-}
-
-let load_perf path =
-  let* j = read_json path in
-  let* () =
-    Result.map_error (fun e -> path ^ ": " ^ e) (Jsonx.Schema.check "mewc-perf/2" j)
-  in
-  let ctx = path in
-  let* cores = field ~ctx j "cores" Jsonx.get_int in
-  let* jobs = field ~ctx j "jobs" Jsonx.get_int in
-  let* parallelism = field ~ctx j "parallelism" Jsonx.get_str in
-  let* sequential_wall_s = field ~ctx j "sequential_wall_s" get_float in
-  let* parallel_wall_s = field ~ctx j "parallel_wall_s" get_float in
-  let* speedup = field ~ctx j "speedup" get_float in
-  let* parallel_identical =
-    field ~ctx j "parallel_identical_to_sequential" Jsonx.get_bool
-  in
-  let* shards_identical =
-    field ~ctx j "shards_identical_to_sequential" Jsonx.get_bool
-  in
-  let* scheduler = field ~ctx j "scheduler" Jsonx.get_str in
-  let* rows =
-    map_all ~ctx:(path ^ ": rows")
-      (fun r -> Result.map_error (fun e -> path ^ ": " ^ e) (Sweep.row_of_json r))
-      (Option.bind (Jsonx.member "rows" j) Jsonx.get_list)
-  in
-  Ok
-    {
-      cores;
-      jobs;
-      parallelism;
-      sequential_wall_s;
-      parallel_wall_s;
-      speedup;
-      parallel_identical;
-      shards_identical;
-      scheduler;
-      rows;
-    }
 
 (* ---- mewc-ledger/1 ------------------------------------------------------ *)
 
@@ -377,14 +324,12 @@ let load_observability path =
 (* ---- the closed artifact set -------------------------------------------- *)
 
 type artifacts = {
-  perf : perf;
   ledger : Ledger.entry list;
   throughput : throughput_entry list;
   degrade : degrade;
   observability : obs_run list;
 }
 
-let perf_file = "BENCH_perf.json"
 let ledger_file = "BENCH_ledger.json"
 let throughput_file = "BENCH_throughput.json"
 let degrade_file = "BENCH_degrade.json"
@@ -392,9 +337,8 @@ let observability_file = "BENCH_observability.json"
 
 let load_all ~dir =
   let p f = Filename.concat dir f in
-  let* perf = load_perf (p perf_file) in
   let* ledger = load_ledger (p ledger_file) in
   let* throughput = load_throughput (p throughput_file) in
   let* degrade = load_degrade (p degrade_file) in
   let* observability = load_observability (p observability_file) in
-  Ok { perf; ledger; throughput; degrade; observability }
+  Ok { ledger; throughput; degrade; observability }

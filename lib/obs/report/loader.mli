@@ -1,26 +1,10 @@
-(** Typed, schema-gated loaders for the five committed benchmark artifacts.
+(** Typed, schema-gated loaders for the four committed benchmark artifacts.
 
     [mewc report] never reads in-memory structures from the code that wrote
     the artifacts: everything is re-parsed from disk through these loaders,
     so the report can only show what the files actually say, and a
     malformed, missing, or wrong-schema artifact is a load [Error] rather
     than a silently empty figure. *)
-
-type perf = {
-  cores : int;
-  jobs : int;
-  parallelism : string;
-  sequential_wall_s : float;
-  parallel_wall_s : float;
-  speedup : float;
-  parallel_identical : bool;
-  shards_identical : bool;
-  scheduler : string;
-  rows : Mewc_core.Sweep.row list;
-}
-
-val load_perf : string -> (perf, string) result
-(** A [mewc-perf/2] document (rows via {!Mewc_core.Sweep.row_of_json}). *)
 
 val load_ledger : string -> (Mewc_core.Ledger.entry list, string) result
 (** A [mewc-ledger/1] file. Unlike {!Mewc_core.Ledger.load}, a missing file
@@ -120,14 +104,12 @@ val load_observability : string -> (obs_run list, string) result
     [mewc-meter/1]). *)
 
 type artifacts = {
-  perf : perf;
   ledger : Mewc_core.Ledger.entry list;
   throughput : throughput_entry list;
   degrade : degrade;
   observability : obs_run list;
 }
 
-val perf_file : string
 val ledger_file : string
 val throughput_file : string
 val degrade_file : string
@@ -135,4 +117,4 @@ val observability_file : string
 (** The conventional artifact filenames ([BENCH_*.json]). *)
 
 val load_all : dir:string -> (artifacts, string) result
-(** All five artifacts from [dir], failing on the first broken one. *)
+(** All four artifacts from [dir], failing on the first broken one. *)

@@ -250,8 +250,46 @@ let test_perf_append_then_diff_codes () =
       Alcotest.(check int) "improvement exits 0" 0
         (run (Printf.sprintf "perf diff --ledger %s bbb aaa" ql)))
 
+(* `--against-ledger` picks its baseline by grid and scheduler: a legacy
+   smoke entry is no baseline for an event-driven sweep, and selecting one
+   that is absent is misuse. Only exit codes that cannot depend on wall
+   time are asserted (a matched diff may exit 0 or 3). *)
+let test_perf_against_ledger_matches_scheduler () =
+  in_temp_ledger (fun l ->
+      let ql = Filename.quote l in
+      Alcotest.(check int) "append legacy smoke" 0
+        (run
+           (Printf.sprintf
+              "perf append --smoke --scheduler legacy --ledger %s --rev aaa \
+               --date 2026-08-06"
+              ql));
+      Alcotest.(check int) "no event-driven smoke entry" 1
+        (run
+           (Printf.sprintf
+              "perf diff --ledger %s --against-ledger --smoke --scheduler \
+               event-driven"
+              ql));
+      Alcotest.(check int) "no legacy standard entry" 1
+        (run
+           (Printf.sprintf
+              "perf diff --ledger %s --against-ledger --scheduler legacy" ql)))
+
+(* The gate's scratch ledger lives in $TMPDIR and must not outlive it. *)
 let test_perf_smoke_gate () =
-  Alcotest.(check int) "perf smoke" 0 (run "perf smoke")
+  let dir = Filename.temp_file "mewc-cli-tmpdir" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o755;
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+      Unix.rmdir dir)
+    (fun () ->
+      Alcotest.(check int) "perf smoke" 0
+        (Sys.command
+           (Printf.sprintf "TMPDIR=%s %s perf smoke >/dev/null 2>&1"
+              (Filename.quote dir) (Filename.quote mewc)));
+      Alcotest.(check (array string)) "scratch ledger removed" [||]
+        (Sys.readdir dir))
 
 (* ---- throughput: the repeated-BA service --------------------------------- *)
 
@@ -432,6 +470,8 @@ let () =
           Alcotest.test_case "append/diff exit codes" `Quick
             test_perf_append_then_diff_codes;
           Alcotest.test_case "smoke gate" `Quick test_perf_smoke_gate;
+          Alcotest.test_case "--against-ledger matches the scheduler" `Quick
+            test_perf_against_ledger_matches_scheduler;
         ] );
       ( "fuzz modes",
         [

@@ -255,6 +255,27 @@ let reset_clears_cache_stats () =
   Alcotest.(check int) "hits cleared" 0 s.Pki.verify_hits;
   Alcotest.(check int) "misses cleared" 0 s.Pki.verify_misses
 
+let memo_sweep_keeps_live_tables () =
+  (* A domain sweeps its memo tables once it has seen 64 distinct memos;
+     the PKI in use must keep its own tables whatever the domain saw
+     before, or its hit/miss split would depend on that history. One
+     (signer, msg) key per PKI means exactly one share-tag miss. Every
+     third round opens only the share-tag table, so the sweep lands on
+     both parities of the table count, including between a PKI's
+     share-tag table and its aggregate table. *)
+  for round = 1 to 200 do
+    let pki, secrets = setup 4 in
+    let sg = Pki.sign pki secrets.(0) "m" in
+    ignore (Pki.verify pki sg ~msg:"m");
+    if round mod 3 <> 0 then begin
+      ignore (Pki.combine pki ~k:1 ~msg:"m" [ sg ]);
+      ignore (Pki.verify pki sg ~msg:"m")
+    end;
+    Alcotest.(check int)
+      (Printf.sprintf "round %d: one share-tag miss" round)
+      1 (Pki.cache_stats pki).Pki.verify_misses
+  done
+
 let hmac_key_equivalence =
   Test_util.qcheck_case ~name:"hmac_with (hmac_key k) = hmac ~key:k"
     QCheck2.Gen.(pair (string_size (int_range 0 200)) string)
@@ -433,6 +454,8 @@ let () =
             cache_capacity_epoch_clear;
           Alcotest.test_case "reset clears cache stats" `Quick
             reset_clears_cache_stats;
+          Alcotest.test_case "memo sweep keeps the live tables" `Quick
+            memo_sweep_keeps_live_tables;
         ] );
       ( "signatures",
         [

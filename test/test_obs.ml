@@ -198,7 +198,6 @@ let ok_exn = function
 
 let test_load_all_committed () =
   let a = ok_exn (Loader.load_all ~dir:artifact_dir) in
-  Alcotest.(check bool) "perf has rows" true (a.Loader.perf.Loader.rows <> []);
   Alcotest.(check bool)
     "ledger has the ratio baselines" true
     (List.length a.Loader.ledger >= 5);
@@ -242,7 +241,9 @@ let test_generate_matches_committed () =
 
 let test_frontier_csv_shape () =
   let a = ok_exn (Loader.load_all ~dir:artifact_dir) in
-  let csv = Figure.frontier_csv a.Loader.perf.Loader.rows in
+  (* Entry 1 is the frontier-grid entry, as in the alias-identity test. *)
+  let rows = (List.nth a.Loader.ledger 1).Mewc_core.Ledger.rows in
+  let csv = Figure.frontier_csv rows in
   let lines = String.split_on_char '\n' csv in
   Alcotest.(check string)
     "header"
@@ -251,7 +252,7 @@ let test_frontier_csv_shape () =
   (* one line per row plus the header and the trailing newline *)
   Alcotest.(check int)
     "row count"
-    (List.length a.Loader.perf.Loader.rows + 2)
+    (List.length rows + 2)
     (List.length lines)
 
 (* ---- the CLI: alias identity and tamper detection -------------------------- *)
@@ -303,7 +304,6 @@ let with_scratch_artifacts f =
     (fun name ->
       copy (Filename.concat artifact_dir name) (Filename.concat dir name))
     [
-      "BENCH_perf.json";
       "BENCH_ledger.json";
       "BENCH_throughput.json";
       "BENCH_degrade.json";
@@ -387,7 +387,7 @@ let () =
         ] );
       ( "loaders",
         [
-          Alcotest.test_case "all five committed artifacts load" `Quick
+          Alcotest.test_case "all four committed artifacts load" `Quick
             test_load_all_committed;
           Alcotest.test_case "committed artifacts are consistent" `Quick
             test_committed_artifacts_consistent;

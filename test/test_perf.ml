@@ -1,8 +1,9 @@
 (* The perf layer: the domain pool's scheduling-independence guarantees
    (one-shot and persistent worker sets), the sweep's
-   parallel-equals-sequential property, and the intra-run sharding's
+   parallel-equals-sequential property, the intra-run sharding's
    core-row invariance (the invariants the whole multicore runner rests
-   on). *)
+   on), and the event-driven engine's wake contract over the frontier
+   grid's small points. *)
 
 open Mewc_prelude
 open Mewc_core
@@ -119,34 +120,7 @@ let sweep_report () =
     (report.Sweep.parallelism <> "");
   Alcotest.(check int) "all points ran" (List.length Sweep.smoke_grid)
     (List.length report.Sweep.rows);
-  Alcotest.(check bool) "sequential timing sane" true (report.Sweep.sequential_s >= 0.0);
-  (* The report round-trips through the JSON layer (schema mewc-perf/2). *)
-  let json = Sweep.report_to_json report in
-  match Jsonx.parse (Jsonx.to_string json) with
-  | Error e -> Alcotest.failf "report JSON does not reparse: %s" e
-  | Ok parsed ->
-    Alcotest.(check (option string))
-      "schema" (Some "mewc-perf/2")
-      (Option.bind (Jsonx.member "schema" parsed) Jsonx.get_str);
-    Alcotest.(check (option string))
-      "parallelism member"
-      (Some report.Sweep.parallelism)
-      (Option.bind (Jsonx.member "parallelism" parsed) Jsonx.get_str);
-    Alcotest.(check bool) "shards member is an array" true
-      (match Jsonx.member "shards" parsed with
-      | Some (Jsonx.Arr cells) -> List.length cells = 2
-      | _ -> false);
-    Alcotest.(check (option bool))
-      "shard identity member" (Some true)
-      (Option.bind
-         (Jsonx.member "shards_identical_to_sequential" parsed)
-         Jsonx.get_bool);
-    let rows =
-      Option.bind (Jsonx.member "rows" parsed) Jsonx.get_list
-      |> Option.value ~default:[]
-    in
-    Alcotest.(check int) "rows serialized" (List.length report.Sweep.rows)
-      (List.length rows)
+  Alcotest.(check bool) "sequential timing sane" true (report.Sweep.sequential_s >= 0.0)
 
 let sweep_sharded_core_rows_identical () =
   (* The intra-run axis: sharding a point's engine across domains must
@@ -171,6 +145,31 @@ let sweep_sharded_core_rows_identical () =
               ~options:{ Instances.default_options with Instances.shards }
               points)))
     [ 2; 4; 8 ]
+
+let frontier_wake_contract () =
+  (* The wake contract end to end. Rows are a pure function of the point
+     (each builds its own seed, PKI and RNG), and a skipped step must be a
+     no-op, so stepping only woken processes and stepping every process
+     (the wake-free [`Legacy] policy) must render every row
+     byte-identically. The engine-diff suite proves it per message; this
+     re-proves it over the frontier grid's n <= 101 points, the only
+     tier-1 run of the protocols' wake timers there. *)
+  let points, _capped = Sweep.frontier_grid `Event_driven in
+  let points = List.filter (fun (p : Sweep.point) -> p.Sweep.n <= 101) points in
+  let report =
+    Sweep.run_perf ~jobs:2 ~scheduler:`Event_driven ~shard_counts:[ 1; 2 ] points
+  in
+  Alcotest.(check bool) "parallel identical" true report.Sweep.identical;
+  Alcotest.(check bool) "shards identical" true report.Sweep.shards_identical;
+  let oracle =
+    Sweep.run_all
+      ~options:{ Instances.default_options with Instances.scheduler = `Legacy }
+      points
+  in
+  Alcotest.(check (list string))
+    "event-driven rows == wake-free Legacy rows"
+    (List.map Sweep.row_to_line oracle)
+    (List.map Sweep.row_to_line report.Sweep.rows)
 
 let sweep_caches_hit () =
   (* The crypto caches must actually fire on a fallback-heavy point —
@@ -202,11 +201,12 @@ let () =
           Alcotest.test_case "parallel byte-identical to sequential" `Quick
             sweep_parallel_identical;
           Alcotest.test_case "reruns deterministic" `Quick sweep_rerun_deterministic;
-          Alcotest.test_case "perf report: identity + mewc-perf/2 round-trip" `Quick
-            sweep_report;
+          Alcotest.test_case "perf report: identity" `Quick sweep_report;
           Alcotest.test_case "sharded core rows byte-identical" `Quick
             sweep_sharded_core_rows_identical;
           Alcotest.test_case "crypto caches fire on fallback path" `Quick
             sweep_caches_hit;
+          Alcotest.test_case "frontier wake contract: event-driven == Legacy"
+            `Quick frontier_wake_contract;
         ] );
     ]
